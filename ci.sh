@@ -4,7 +4,8 @@
 # Usage: ./ci.sh [--quick]
 #   --quick  fast tier: fmt/clippy/build/test plus the byte-identity gates
 #            (thread-count, profiler zero-perturbation, sharded-calendar,
-#            committed-baseline). Minutes, suitable for every push.
+#            committed fig9 baseline, per-target figure digests). Minutes,
+#            suitable for every push.
 #   (bare)   full tier: the quick tier plus fault/adversary/crash soaks,
 #            the chaos explorer, the sweep + rack scaling measurements and
 #            their BENCH_*.json artifacts, and the perf-regression gate.
@@ -83,6 +84,29 @@ echo "==> adversary-off/crash-off byte-identity gate: fig9 --quick vs committed 
 #   RESEX_THREADS=1 ./target/release/repro fig9 --quick --json tests/baselines/fig9_quick.json
 cmp tests/baselines/fig9_quick.json "$TMP/fig9_seq.json"
 echo "    byte-identical to tests/baselines/fig9_quick.json"
+
+echo "==> figure-digest gate: every repro target vs tests/baselines/quick_digests.txt"
+# The behavioural contract is every byte `repro` emits, not just fig9:
+# each target's JSON must hash to its committed digest. digest.py hashes
+# one canonical form per target, independent of any JSON printer's version.
+# `all` runs at pool width: the digests were made at RESEX_THREADS=1, so
+# this also extends the thread-count gate above to every target. If this
+# fails after an *intentional* output change, regenerate with:
+#   RESEX_THREADS=1 ./target/release/repro all --quick --json /tmp/all.json
+#   ./target/release/repro rack --quick --json /tmp/rack.json
+#   python3 tests/baselines/digest.py /tmp/all.json /tmp/rack.json \
+#       > tests/baselines/quick_digests.txt
+RESEX_THREADS="$PAR_THREADS" "$REPRO" all --quick --json "$TMP/all.json" >/dev/null 2>&1
+"$REPRO" rack --quick --json "$TMP/rack.json" >/dev/null 2>&1
+python3 tests/baselines/digest.py "$TMP/all.json" "$TMP/rack.json" > "$TMP/digests.txt"
+MOVED=""
+for t in fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ablation hw_qos scaling rack; do
+    got=$(awk -v t="$t" '$1 == t { print $2 }' "$TMP/digests.txt")
+    want=$(awk -v t="$t" '$1 == t { print $2 }' tests/baselines/quick_digests.txt)
+    [ -n "$got" ] && [ "$got" = "$want" ] || MOVED="$MOVED $t"
+done
+[ -z "$MOVED" ] || { echo "    FAIL: output moved for:$MOVED"; exit 1; }
+echo "    all 13 targets match their committed digests"
 
 if [ "$TIER" = quick ]; then
     echo "==> OK (quick tier; run bare ./ci.sh for soak/chaos/perf and BENCH artifacts)"
@@ -193,8 +217,11 @@ cmp "$TMP/rack_seq.json" "$TMP/rack_par.json"
 RACK_HOSTS=$(grep -o '"hosts": [0-9]*' "$TMP/rack_seq.json" | head -1 | awk '{print $2}')
 
 GIT_REV="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
+# Tracked files differing from HEAD mean the numbers came from an
+# uncommitted tree; `repro profile` stamps the same flag the same way.
+if [ -n "$(git --no-optional-locks status --porcelain --untracked-files=no 2>/dev/null)" ]; then DIRTY=true; else DIRTY=false; fi
 awk -v t0="$t0" -v t1="$t1" -v t2="$t2" -v r0="$r0" -v r1="$r1" -v r2="$r2" \
-    -v par="$PAR_THREADS" -v cores="$CORES" -v rev="$GIT_REV" -v hosts="$RACK_HOSTS" '
+    -v par="$PAR_THREADS" -v cores="$CORES" -v rev="$GIT_REV" -v dirty="$DIRTY" -v hosts="$RACK_HOSTS" '
 BEGIN {
     seq = t1 - t0; parallel = t2 - t1;
     rseq = r1 - r0; rpar = r2 - r1;
@@ -204,7 +231,7 @@ BEGIN {
     printf "    rack  sequential (RESEX_THREADS=1):   %6.2f s  (%.1f hosts/s)\n", rseq, hosts / rseq;
     printf "    rack  parallel   (RESEX_THREADS=%d):   %6.2f s  (%.1f hosts/s)\n", par, rpar, hosts / rpar;
     printf "    rack  speedup: %.2fx on %d core(s)\n", rseq / rpar, cores;
-    printf "{\n  \"bench\": \"repro all --quick\",\n  \"git_rev\": \"%s\",\n  \"flags\": \"all --quick\",\n  \"cores\": %d,\n  \"threads_parallel\": %d,\n  \"sequential_s\": %.3f,\n  \"parallel_s\": %.3f,\n  \"speedup\": %.3f,\n  \"rack\": {\n    \"bench\": \"repro rack --quick\",\n    \"hosts\": %d,\n    \"sequential_s\": %.3f,\n    \"parallel_s\": %.3f,\n    \"hosts_per_s_sequential\": %.1f,\n    \"hosts_per_s_parallel\": %.1f,\n    \"speedup\": %.3f\n  }\n}\n", rev, cores, par, seq, parallel, seq / parallel, hosts, rseq, rpar, hosts / rseq, hosts / rpar, rseq / rpar > "'"$TMP"'/BENCH_sweep.json";
+    printf "{\n  \"bench\": \"repro all --quick\",\n  \"git_rev\": \"%s\",\n  \"dirty\": %s,\n  \"flags\": \"all --quick\",\n  \"cores\": %d,\n  \"threads_parallel\": %d,\n  \"sequential_s\": %.3f,\n  \"parallel_s\": %.3f,\n  \"speedup\": %.3f,\n  \"rack\": {\n    \"bench\": \"repro rack --quick\",\n    \"hosts\": %d,\n    \"sequential_s\": %.3f,\n    \"parallel_s\": %.3f,\n    \"hosts_per_s_sequential\": %.1f,\n    \"hosts_per_s_parallel\": %.1f,\n    \"speedup\": %.3f\n  }\n}\n", rev, dirty, cores, par, seq, parallel, seq / parallel, hosts, rseq, rpar, hosts / rseq, hosts / rpar, rseq / rpar > "'"$TMP"'/BENCH_sweep.json";
 }'
 echo "    staged BENCH_sweep.json (rack leg byte-identical across pool widths)"
 
@@ -272,15 +299,19 @@ else
     echo "    no committed BENCH_profile.json at HEAD: gate skipped"
 fi
 
-echo "==> bench-artifact stamping: both BENCH files must carry the same revision"
-# The two artifacts are only comparable when regenerated together; a
-# mixed pair (one stale, one fresh) silently invalidates the speedup and
-# events/sec numbers recorded above.
+echo "==> bench-artifact stamping: both BENCH files must carry the same revision and dirty flag"
+# The two artifacts are only comparable when regenerated together from
+# the same tree; a mixed pair (one stale, one fresh, or one from a dirty
+# tree) silently invalidates the speedup and events/sec numbers above.
 SWEEP_REV=$(grep -o '"git_rev": "[a-z0-9]*"' "$TMP/BENCH_sweep.json" | head -1 | cut -d'"' -f4)
 PROF_REV=$(grep -o '"git_rev": "[a-z0-9]*"' "$TMP/BENCH_profile.json" | head -1 | cut -d'"' -f4)
+SWEEP_DIRTY=$(grep -o '"dirty": [a-z]*' "$TMP/BENCH_sweep.json" | head -1 | awk '{print $2}')
+PROF_DIRTY=$(grep -o '"dirty": [a-z]*' "$TMP/BENCH_profile.json" | head -1 | awk '{print $2}')
 [ "$SWEEP_REV" = "$PROF_REV" ] || {
     echo "    FAIL: BENCH_sweep.json ($SWEEP_REV) and BENCH_profile.json ($PROF_REV) were stamped at different commits"; exit 1; }
-echo "    both stamped at $SWEEP_REV"
+[ -n "$SWEEP_DIRTY" ] && [ "$SWEEP_DIRTY" = "$PROF_DIRTY" ] || {
+    echo "    FAIL: BENCH_sweep.json (dirty=$SWEEP_DIRTY) and BENCH_profile.json (dirty=$PROF_DIRTY) disagree on the tree"; exit 1; }
+echo "    both stamped at $SWEEP_REV (dirty=$SWEEP_DIRTY)"
 
 # Every gate passed: only now do the staged artifacts replace the
 # committed ones. A failure anywhere above leaves the repo's BENCH pair

@@ -20,6 +20,10 @@ pub const SCHEMA: &str = "resex-profile-v1";
 pub struct Provenance {
     /// `git rev-parse --short=12 HEAD`, or `"unknown"` outside a repo.
     pub git_rev: String,
+    /// Whether tracked files differed from `git_rev` when the run started
+    /// (`git status --porcelain --untracked-files=no` non-empty), so the
+    /// numbers came from an uncommitted tree. `false` outside a repo.
+    pub dirty: bool,
     /// Worker threads the pool ran (1 = sequential).
     pub threads: u64,
     /// Host CPU count.
@@ -33,6 +37,7 @@ impl Provenance {
     pub fn capture(flags: Vec<String>) -> Provenance {
         Provenance {
             git_rev: git_rev(),
+            dirty: git_dirty(),
             threads: rayon::current_num_threads() as u64,
             cores: std::thread::available_parallelism()
                 .map(|n| n.get() as u64)
@@ -44,15 +49,33 @@ impl Provenance {
 
 /// The current git revision (short), or `"unknown"`.
 pub fn git_rev() -> String {
+    git_stdout(&["rev-parse", "--short=12", "HEAD"])
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Whether any tracked file differs from `HEAD`; `false` outside a repo.
+/// Read-only: `--no-optional-locks` keeps `git status` from refreshing the
+/// index, so a run never takes `.git/index.lock` from concurrent git use.
+pub fn git_dirty() -> bool {
+    git_stdout(&[
+        "--no-optional-locks",
+        "status",
+        "--porcelain",
+        "--untracked-files=no",
+    ])
+    .is_some_and(|s| !s.is_empty())
+}
+
+/// Trimmed stdout of a successful `git` invocation.
+fn git_stdout(args: &[&str]) -> Option<String> {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
+        .args(args)
         .output()
         .ok()
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Aggregate numbers over the whole profiled run.
@@ -62,8 +85,9 @@ pub struct Totals {
     pub events: u64,
     /// Harness wall-clock seconds (what a user waits).
     pub wall_s: f64,
-    /// Summed per-world event-loop seconds (CPU-busy proxy; exceeds
-    /// `wall_s` when worlds run concurrently).
+    /// Seconds spent inside event frames, summed over every world (the
+    /// root frames' inclusive time; CPU-busy proxy, exceeds `wall_s` only
+    /// when worlds run concurrently).
     pub busy_s: f64,
     /// `events / wall_s` — the headline throughput number.
     pub events_per_sec: f64,
@@ -124,7 +148,7 @@ pub struct ThreadRow {
     pub label: String,
     /// Events this thread dispatched.
     pub events: u64,
-    /// Event-loop seconds on this thread.
+    /// Seconds this thread spent inside event frames.
     pub busy_s: f64,
 }
 
@@ -209,7 +233,7 @@ pub fn build_report(
         .map(|(label, p)| ThreadRow {
             label: label.clone(),
             events: p.events,
-            busy_s: p.wall_ns as f64 / 1e9,
+            busy_s: busy_s(p),
         })
         .collect();
 
@@ -220,7 +244,7 @@ pub fn build_report(
         totals: Totals {
             events: merged.events,
             wall_s,
-            busy_s: merged.wall_ns as f64 / 1e9,
+            busy_s: busy_s(&merged),
             events_per_sec: if wall_s > 0.0 {
                 merged.events as f64 / wall_s
             } else {
@@ -258,6 +282,14 @@ pub fn merged_profile(per_thread: &BTreeMap<String, Profile>) -> Profile {
         merged.merge(profile);
     }
     merged
+}
+
+/// Seconds inside event frames: the summed inclusive time of the root
+/// frames. A profile's own `wall_ns` spans each world's whole lifetime
+/// (build to finish), so a merge of many worlds that overlap in time
+/// would count the same wall-clock once per world.
+fn busy_s(p: &Profile) -> f64 {
+    p.event_types().map(|(_, s)| s.wall_ns).sum::<u64>() as f64 / 1e9
 }
 
 fn pct(part: u64, whole: u64) -> f64 {
@@ -344,6 +376,7 @@ mod tests {
     fn provenance() -> Provenance {
         Provenance {
             git_rev: "abc123def456".into(),
+            dirty: false,
             threads: 2,
             cores: 8,
             flags: vec!["profile".into(), "fig9".into()],
@@ -403,6 +436,31 @@ mod tests {
     }
 
     #[test]
+    fn busy_time_counts_event_frames_not_world_lifetimes() {
+        // Two worlds interleaved on one thread over a 1.2 s run: each
+        // lived 1 s (overlapping), but only 0.3 s + 0.4 s went into event
+        // frames, nested frames included in their roots.
+        let mut a = profile_with(
+            &[
+                ("FabricSync", 300_000_000, 0),
+                ("FabricSync;fabric.advance", 200_000_000, 0),
+            ],
+            5,
+        );
+        a.wall_ns = 1_000_000_000;
+        let mut b = profile_with(&[("HvSync", 400_000_000, 0)], 5);
+        b.wall_ns = 1_000_000_000;
+        a.merge(&b);
+        let mut per_thread = BTreeMap::new();
+        per_thread.insert("main".to_string(), a);
+        let wall_s = 1.2;
+        let r = build_report("rack", "quick", provenance(), &per_thread, wall_s, &[]);
+        assert!(r.totals.busy_s <= wall_s, "busy {} s", r.totals.busy_s);
+        assert!((r.totals.busy_s - 0.7).abs() < 1e-9);
+        assert_eq!(r.threads[0].busy_s, r.totals.busy_s);
+    }
+
+    #[test]
     fn report_serializes_with_provenance_and_timings() {
         let mut per_thread = BTreeMap::new();
         per_thread.insert("main".to_string(), profile_with(&[("End", 10, 0)], 1));
@@ -412,6 +470,7 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(v["schema"].as_str(), Some("resex-profile-v1"));
         assert_eq!(v["provenance"]["git_rev"].as_str(), Some("abc123def456"));
+        assert_eq!(v["provenance"]["dirty"].as_bool(), Some(false));
         assert!(v["totals"]["events_per_sec"].as_f64().unwrap() > 0.0);
         assert_eq!(v["targets"].as_array().unwrap().len(), 2);
     }

@@ -27,6 +27,8 @@ pub use client::{
     REQUEST_TIMEOUT,
 };
 pub use latency::{LatencyRecord, LatencySummary, LatencyWindow};
-pub use request::{TransactionRequest, TransactionResponse, REQUEST_WIRE_BYTES};
+pub use request::{
+    TransactionRequest, TransactionResponse, REQUEST_WIRE_BYTES, RESPONSE_HEADER_BYTES,
+};
 pub use server::{Server, ServerAction, ServerConfig, RESPONSE_BYTES_PER_OPTION};
 pub use trace::{Burstiness, RecordedTrace, TaskMix, TraceGen, TraceProfile};

@@ -22,7 +22,7 @@ pub const REQUEST_WIRE_BYTES: u32 = 44;
 
 /// Minimum bytes of a response that carry data (the rest is padding up to
 /// the server's buffer size).
-pub const RESPONSE_HEADER_BYTES: u32 = 36;
+pub const RESPONSE_HEADER_BYTES: u32 = 28;
 
 /// One client transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -45,8 +45,6 @@ pub struct TransactionResponse {
     pub id: u64,
     /// Echoed client send timestamp.
     pub sent_at: SimTime,
-    /// Computed value checksum.
-    pub value_sum: f64,
     /// Server-side service time in nanoseconds (for the client's records).
     pub service_ns: u64,
 }
@@ -57,7 +55,6 @@ fn encode_task(task: &PricingTask, buf: &mut impl BufMut) {
         TaskKind::Risk => (1, 0),
         TaskKind::Reprice { steps } => (2, steps),
         TaskKind::ImpliedVol => (3, 0),
-        TaskKind::MonteCarlo { paths } => (4, paths),
     };
     buf.put_u8(kind);
     buf.put_u32_le(param);
@@ -75,7 +72,6 @@ fn decode_task(buf: &mut impl Buf) -> Option<PricingTask> {
         1 => TaskKind::Risk,
         2 => TaskKind::Reprice { steps: param },
         3 => TaskKind::ImpliedVol,
-        4 => TaskKind::MonteCarlo { paths: param },
         _ => return None,
     };
     Some(PricingTask {
@@ -136,7 +132,6 @@ impl TransactionResponse {
         buf.put_u32_le(RESPONSE_MAGIC);
         buf.put_u64_le(self.id);
         buf.put_u64_le(self.sent_at.as_nanos());
-        buf.put_f64_le(self.value_sum);
         buf.put_u64_le(self.service_ns);
         debug_assert!(buf.is_empty());
         wire
@@ -159,7 +154,6 @@ impl TransactionResponse {
         Some(TransactionResponse {
             id: buf.get_u64_le(),
             sent_at: SimTime::from_nanos(buf.get_u64_le()),
-            value_sum: buf.get_f64_le(),
             service_ns: buf.get_u64_le(),
         })
     }
@@ -212,6 +206,9 @@ mod tests {
         let mut wire = req().encode();
         wire[0] ^= 0xFF; // corrupt magic
         assert_eq!(TransactionRequest::decode(&wire), None);
+        let mut wire = req().encode();
+        wire[24] = 4; // task-kind tag past the last defined kind
+        assert_eq!(TransactionRequest::decode(&wire), None, "unknown task kind");
     }
 
     #[test]
@@ -219,7 +216,6 @@ mod tests {
         let r = TransactionResponse {
             id: 9,
             sent_at: SimTime::from_nanos(77),
-            value_sum: 1234.5678,
             service_ns: 209_000,
         };
         let wire = r.encode();
@@ -232,7 +228,6 @@ mod tests {
         let r = TransactionResponse {
             id: 1,
             sent_at: SimTime::ZERO,
-            value_sum: 0.5,
             service_ns: 1,
         };
         let mut padded = r.encode();

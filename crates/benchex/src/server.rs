@@ -35,9 +35,6 @@ pub struct ServerConfig {
     /// Cost of one successful CQ poll (added to PTime even when a request
     /// is already queued).
     pub poll_overhead: SimDuration,
-    /// Whether to actually run the pricing math (results ride in the
-    /// response). Disable only for huge throughput sweeps.
-    pub execute_tasks: bool,
     /// Capacity of the latency window the reporting agent reads.
     pub latency_window: usize,
     /// Scale each response to its transaction's batch size instead of
@@ -64,7 +61,6 @@ impl Default for ServerConfig {
             cpu_per_work_unit: SimDuration::from_micros(12),
             per_request_overhead: SimDuration::from_micros(4),
             poll_overhead: SimDuration::from_micros(2),
-            execute_tasks: true,
             latency_window: 4096,
             variable_responses: false,
         }
@@ -120,8 +116,6 @@ pub struct Server {
     /// Recent latency records (read by the reporting agent).
     pub window: LatencyWindow,
     served: u64,
-    /// Sum of executed task values (checksum output, keeps the math live).
-    pub value_checksum: f64,
 }
 
 impl Server {
@@ -135,7 +129,6 @@ impl Server {
             ready_since: SimTime::ZERO,
             in_service: None,
             served: 0,
-            value_checksum: 0.0,
         }
     }
 
@@ -178,9 +171,6 @@ impl Server {
         let svc = self.in_service.as_mut().expect("in service");
         svc.ctime = now.duration_since(svc.compute_started);
         svc.send_posted = now;
-        if self.cfg.execute_tasks {
-            self.value_checksum += svc.req.task.execute().value_sum;
-        }
         self.state = State::Sending;
         let len = if self.cfg.variable_responses {
             (svc.req.task.n_options)
@@ -437,15 +427,6 @@ mod tests {
             }
             _ => panic!(),
         }
-    }
-
-    #[test]
-    fn checksum_accumulates_when_executing() {
-        let mut s = Server::new(ServerConfig::default());
-        s.on_request(req(1), us(0));
-        s.on_compute_done(us(100));
-        s.on_send_complete(us(160));
-        assert!(s.value_checksum != 0.0, "pricing math actually ran");
     }
 
     #[test]

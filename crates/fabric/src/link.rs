@@ -21,7 +21,7 @@
 //! `resex-bench`).
 
 use crate::ratelimit::TokenBucket;
-use crate::types::{McGroupId, NodeId, Opcode, QpNum};
+use crate::types::{NodeId, Opcode, QpNum};
 use resex_simcore::time::SimTime;
 use resex_simmem::Gpa;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -48,15 +48,6 @@ pub enum JobKind {
         local_gpa: Gpa,
         /// Initiator-side local key (already validated at post time).
         lkey: u32,
-    },
-    /// Unreliable datagram to `dst_node`/`dst_qp`: no acknowledgement,
-    /// silent drop at a not-ready receiver.
-    UdSend,
-    /// Unreliable datagram replicated by the switch to every member of a
-    /// multicast group (serialized once on the sender's egress).
-    McastSend {
-        /// The target group.
-        group: McGroupId,
     },
     /// Read-response data flowing responder → initiator.
     ReadResponse {

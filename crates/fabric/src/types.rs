@@ -24,22 +24,6 @@ define_id!(
     PdId
 );
 
-define_id!(
-    /// A multicast group spanning the fabric (switch-replicated).
-    McGroupId
-);
-
-/// Transport type of a queue pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum QpType {
-    /// Reliable connected: acknowledged, ordered, supports RDMA (default).
-    Rc,
-    /// Unreliable datagram: connectionless sends of at most one MTU, no
-    /// acknowledgements, silent drops when the receiver is not ready —
-    /// the transport real exchanges use for multicast market data.
-    Ud,
-}
-
 /// Verbs opcode carried by a work request and echoed in its completion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[repr(u8)]

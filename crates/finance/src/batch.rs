@@ -26,11 +26,6 @@ pub enum TaskKind {
     },
     /// Implied-vol backsolve from the quoted price.
     ImpliedVol,
-    /// Monte Carlo valuation with the given path count (heaviest).
-    MonteCarlo {
-        /// Antithetic path pairs per option.
-        paths: u32,
-    },
 }
 
 /// One unit of exchange work: value `n_options` option positions.
@@ -61,8 +56,6 @@ const UNIT_RISK: u64 = 3;
 const UNIT_LATTICE_NODE: u64 = 1;
 /// Work units for an implied-vol solve (≈ Newton iterations × quote).
 const UNIT_IMPLIED: u64 = 12;
-/// Work units per 100 Monte Carlo path pairs.
-const UNIT_MC_PER_100_PATHS: u64 = 4;
 
 impl PricingTask {
     /// Deterministically generates the i-th option of the batch.
@@ -112,11 +105,6 @@ impl PricingTask {
                     sum += implied_vol(&spec, price).unwrap_or(spec.sigma);
                     work += UNIT_IMPLIED;
                 }
-                TaskKind::MonteCarlo { paths } => {
-                    let paths = paths.max(1);
-                    sum += crate::monte_carlo::mc_price(&spec, paths, self.seed ^ i as u64).price;
-                    work += (UNIT_MC_PER_100_PATHS * paths as u64).div_ceil(100);
-                }
             }
         }
         TaskResult {
@@ -133,9 +121,6 @@ impl PricingTask {
             TaskKind::Risk => UNIT_RISK,
             TaskKind::Reprice { steps } => UNIT_LATTICE_NODE * (steps as u64 * steps as u64) / 2,
             TaskKind::ImpliedVol => UNIT_IMPLIED,
-            TaskKind::MonteCarlo { paths } => {
-                (UNIT_MC_PER_100_PATHS * paths.max(1) as u64).div_ceil(100)
-            }
         };
         (per * self.n_options as u64).max(1)
     }
@@ -212,7 +197,6 @@ mod tests {
             TaskKind::Risk,
             TaskKind::Reprice { steps: 32 },
             TaskKind::ImpliedVol,
-            TaskKind::MonteCarlo { paths: 250 },
         ] {
             let t = PricingTask {
                 kind,

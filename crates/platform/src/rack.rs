@@ -12,8 +12,8 @@
 //! `min(next event across shards) + quantum` before the next barrier.
 //!
 //! At each barrier the runner plays switch: it diffs every spine-using
-//! host's egress byte counter, sends the demand through a deterministic
-//! per-ToR [`LinkChannel`], runs max-min arbitration
+//! host's egress byte counter, collects the demand per ToR in host
+//! order, runs max-min arbitration
 //! ([`UplinkArbiter`]), and actuates the grants as per-flow rate limits
 //! for the next window — a fluid model of uplink sharing, applied
 //! through the same mid-run-safe QoS path the hardware-QoS experiments
@@ -33,7 +33,7 @@ use rayon::prelude::*;
 use resex_fabric::{FabricConfig, RackTopology, Topology, UplinkArbiter};
 use resex_obs::Profile;
 use resex_simcore::time::{SimDuration, SimTime};
-use resex_simcore::{conservative_horizon, LinkChannel, ShardStats};
+use resex_simcore::{conservative_horizon, ShardStats};
 
 /// A rack experiment: how many hosts, how dense, how long.
 #[derive(Clone, Debug)]
@@ -214,8 +214,10 @@ pub fn run_rack(cfg: &RackConfig) -> RackRun {
         })
         .collect();
 
-    let mut channels: Vec<LinkChannel<(u32, u64)>> =
-        (0..topo.tors()).map(|_| LinkChannel::new()).collect();
+    // Each ToR's `(host, egress bytes)` demands for the current window,
+    // filled and drained within the same barrier.
+    let mut tor_demands: Vec<Vec<(u32, u64)>> = vec![Vec::new(); topo.tors() as usize];
+    let mut last_horizon = SimTime::ZERO;
     let mut windows = 0u64;
     let mut oversub_windows = 0u64;
 
@@ -226,6 +228,14 @@ pub fn run_rack(cfg: &RackConfig) -> RackRun {
         let Some(horizon) = conservative_horizon(nexts.iter().copied(), quantum) else {
             break; // every shard has fired End
         };
+        // Every shard drained its calendar up to the previous horizon, so
+        // a conservative window can only move forward (the first one too:
+        // the topology rejects a zero sync quantum).
+        assert!(
+            horizon > last_horizon,
+            "sync window did not advance past {last_horizon:?}"
+        );
+        last_horizon = horizon;
         for (s, n) in shards.iter_mut().zip(&nexts) {
             if s.done {
                 continue;
@@ -250,29 +260,28 @@ pub fn run_rack(cfg: &RackConfig) -> RackRun {
             })
             .collect();
 
-        // Barrier: publish each spine-using host's egress demand into its
-        // ToR's channel (host order), then arbitrate every uplink.
+        // Barrier: collect each spine-using host's egress demand under its
+        // ToR (host order), then arbitrate every uplink.
         for s in shards.iter_mut() {
             let Some(tor) = s.uplink_tor else { continue };
             let bytes = s.world.server_egress_bytes();
             let delta = bytes - s.last_bytes;
             s.last_bytes = bytes;
-            channels[tor as usize].send(horizon, (s.host, delta));
+            tor_demands[tor as usize].push((s.host, delta));
         }
         let mut any_oversub = false;
-        for ch in channels.iter_mut() {
-            let msgs = ch.drain_until(horizon);
-            if msgs.is_empty() {
+        for flows in tor_demands.iter_mut() {
+            if flows.is_empty() {
                 continue;
             }
-            let demands: Vec<u64> = msgs.iter().map(|m| m.payload.1).collect();
+            let demands: Vec<u64> = flows.iter().map(|&(_, delta)| delta).collect();
             let arb = UplinkArbiter::new(window_bytes);
             if arb.oversubscribed(&demands) {
                 any_oversub = true;
                 let grants = arb.grants(&demands);
-                for (m, &g) in msgs.iter().zip(&grants) {
-                    let host = m.payload.0 as usize;
-                    if m.payload.1 == 0 {
+                for (&(host, delta), &g) in flows.iter().zip(&grants) {
+                    let host = host as usize;
+                    if delta == 0 {
                         // No demand this window: nothing to throttle.
                         if shards[host].shaped {
                             shards[host].world.shape_server_egress(None);
@@ -288,14 +297,15 @@ pub fn run_rack(cfg: &RackConfig) -> RackRun {
                     shards[host].shaped = true;
                 }
             } else {
-                for m in &msgs {
-                    let host = m.payload.0 as usize;
+                for &(host, _) in flows.iter() {
+                    let host = host as usize;
                     if shards[host].shaped {
                         shards[host].world.shape_server_egress(None);
                         shards[host].shaped = false;
                     }
                 }
             }
+            flows.clear();
         }
         if any_oversub {
             oversub_windows += 1;

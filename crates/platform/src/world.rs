@@ -24,7 +24,7 @@ use resex_adversary::{Antagonist, AttackTraffic};
 use resex_benchex::{
     AgentConfig, Client, ClientAction, ClientMode, LatencyReport, ReportingAgent, RetryDecision,
     Server, ServerAction, TraceGen, TraceProfile, TransactionRequest, TransactionResponse,
-    REQUEST_WIRE_BYTES,
+    REQUEST_WIRE_BYTES, RESPONSE_HEADER_BYTES,
 };
 use resex_core::{
     BufferRatio, DecisionJournal, DemandPricing, FreeMarket, IoShares, LatencyFeedback,
@@ -1512,7 +1512,7 @@ impl World {
         // header is also in memory — check it when present.
         let req_id = imm.expect("responses carry the request id") as u64;
         if len <= 4096 {
-            let mut hdr = [0u8; 36];
+            let mut hdr = [0u8; RESPONSE_HEADER_BYTES as usize];
             if self.clients[ci].mem.read(gpa, &mut hdr).is_ok() {
                 if let Some(resp) = TransactionResponse::decode(&hdr) {
                     debug_assert_eq!(resp.id & 0xFFFF_FFFF, req_id);
@@ -1625,7 +1625,6 @@ impl World {
                 let resp = TransactionResponse {
                     id: request_id,
                     sent_at: SimTime::ZERO, // echoed via imm correlation
-                    value_sum: vm.server.value_checksum,
                     service_ns: 0,
                 };
                 let hdr = resp.encode_wire();

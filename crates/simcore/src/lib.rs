@@ -11,8 +11,8 @@
 //!   are bit-reproducible across machines and dependency upgrades.
 //! * [`stats`] — Welford accumulators, log-linear histograms, EWMAs.
 //! * [`series`] — time-series recording and windowed rate estimation.
-//! * [`shard`] — conservative-lookahead sharding: sync horizons,
-//!   deterministic cross-shard channels, per-shard accounting.
+//! * [`shard`] — conservative-lookahead sharding: sync horizons and
+//!   per-shard accounting.
 //! * [`ids`] — the [`define_id!`] macro for strongly-typed entity ids.
 //!
 //! Nothing in this crate knows about InfiniBand, Xen, or pricing; it is a
@@ -30,6 +30,6 @@ pub use event::{EventKey, EventQueue};
 pub use ids::IdAllocator;
 pub use rng::SimRng;
 pub use series::{TimeSeries, WindowedRate};
-pub use shard::{conservative_horizon, LinkChannel, LinkMsg, ShardStats};
+pub use shard::{conservative_horizon, ShardStats};
 pub use stats::{Ewma, Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};

@@ -6,19 +6,16 @@
 //! than `lookahead` from now, every shard may process all events up to
 //! `min(next event across shards) + lookahead` without ever seeing a
 //! message from its past. This module supplies the pieces a sharded
-//! driver needs — the horizon computation, deterministically-ordered
-//! cross-shard channels, and per-shard accounting — while the shards
-//! themselves stay ordinary sequential simulations.
+//! driver needs — the horizon computation and per-shard accounting —
+//! while the shards themselves stay ordinary sequential simulations.
 //!
 //! Determinism is the design constraint throughout: the horizon is a pure
-//! function of the shard clocks, channel drains order messages by
-//! `(time, sender, sequence)` regardless of arrival interleaving, and
-//! nothing here consults wall clocks or thread identity. A sharded run is
-//! therefore byte-identical to the same events processed on one calendar.
+//! function of the shard clocks, and nothing here consults wall clocks or
+//! thread identity. A sharded run is therefore byte-identical to the same
+//! events processed on one calendar.
 
 use crate::time::{SimDuration, SimTime};
 use serde::Serialize;
-use std::collections::VecDeque;
 
 /// Per-shard accounting the sharded driver reports alongside run metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
@@ -60,95 +57,10 @@ pub fn conservative_horizon(
         .map(|t| t.saturating_add(lookahead))
 }
 
-/// One timestamped message on a cross-shard link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LinkMsg<T> {
-    /// Simulated time the message takes effect at the receiver.
-    pub at: SimTime,
-    /// Per-channel sequence number (FIFO tie-break at equal times).
-    pub seq: u64,
-    /// The payload.
-    pub payload: T,
-}
-
-/// A deterministic FIFO channel between two shards.
-///
-/// Senders must append in non-decreasing time order (conservative
-/// simulations only emit into their future — violating that is a
-/// scheduling bug, so it panics). The receiver drains everything up to
-/// its current horizon; because each channel is FIFO and drains are
-/// merged by `(time, channel index, seq)` in the caller, delivery order
-/// is a pure function of the traffic, never of thread interleaving.
-#[derive(Clone, Debug)]
-pub struct LinkChannel<T> {
-    msgs: VecDeque<LinkMsg<T>>,
-    next_seq: u64,
-    last_sent: SimTime,
-}
-
-impl<T> Default for LinkChannel<T> {
-    fn default() -> Self {
-        LinkChannel {
-            msgs: VecDeque::new(),
-            next_seq: 0,
-            last_sent: SimTime::ZERO,
-        }
-    }
-}
-
-impl<T> LinkChannel<T> {
-    /// An empty channel.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a message taking effect at `at`.
-    ///
-    /// # Panics
-    /// If `at` precedes the previous send — a conservative shard never
-    /// transmits into its own past.
-    pub fn send(&mut self, at: SimTime, payload: T) {
-        assert!(
-            at >= self.last_sent,
-            "cross-shard send into the past: {} < {}",
-            at.as_nanos(),
-            self.last_sent.as_nanos()
-        );
-        self.last_sent = at;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.msgs.push_back(LinkMsg { at, seq, payload });
-    }
-
-    /// Earliest undelivered message time, if any.
-    pub fn next_arrival(&self) -> Option<SimTime> {
-        self.msgs.front().map(|m| m.at)
-    }
-
-    /// Removes and returns every message with `at ≤ horizon`, in FIFO
-    /// order.
-    pub fn drain_until(&mut self, horizon: SimTime) -> Vec<LinkMsg<T>> {
-        let mut out = Vec::new();
-        while self.msgs.front().is_some_and(|m| m.at <= horizon) {
-            out.push(self.msgs.pop_front().expect("front checked"));
-        }
-        out
-    }
-
-    /// Undelivered messages currently queued.
-    pub fn len(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn t(ns: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_nanos(ns)
@@ -198,33 +110,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn channel_preserves_fifo_and_drains_by_horizon() {
-        let mut ch = LinkChannel::new();
-        ch.send(t(10), "a");
-        ch.send(t(10), "b");
-        ch.send(t(30), "c");
-        assert_eq!(ch.next_arrival(), Some(t(10)));
-        let first = ch.drain_until(t(10));
-        assert_eq!(
-            first.iter().map(|m| m.payload).collect::<Vec<_>>(),
-            ["a", "b"]
-        );
-        assert!(first[0].seq < first[1].seq, "equal-time sends keep order");
-        assert_eq!(ch.len(), 1);
-        let rest = ch.drain_until(t(100));
-        assert_eq!(rest[0].payload, "c");
-        assert!(ch.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "send into the past")]
-    fn channel_rejects_time_travel() {
-        let mut ch = LinkChannel::new();
-        ch.send(t(50), ());
-        ch.send(t(40), ());
-    }
-
     /// A toy conservative simulation: N logical processes pass a token
     /// around a ring, each hop delayed by exactly the lookahead. Run it
     /// monolithically and with every shard count; the delivery trace must
@@ -236,31 +121,33 @@ mod tests {
         let la = SimDuration::from_nanos(7);
 
         fn run(shards: usize, la: SimDuration) -> Vec<(u64, usize, u64)> {
-            // Each process p has an inbound channel; process p forwards a
-            // token (hop count) to (p+1) % PROCS after the link delay.
-            let mut chans: Vec<LinkChannel<u64>> = (0..PROCS).map(|_| LinkChannel::new()).collect();
-            chans[0].send(SimTime::ZERO + la, 0);
+            // Each process p has an inbound FIFO of (arrival, hop count);
+            // process p forwards the token to (p+1) % PROCS after the link
+            // delay.
+            let mut inbox: Vec<VecDeque<(SimTime, u64)>> = vec![VecDeque::new(); PROCS];
+            inbox[0].push_back((SimTime::ZERO + la, 0));
             let mut trace = Vec::new();
             let group_of = |p: usize| p * shards / PROCS;
             loop {
-                let nexts = chans.iter().map(|c| c.next_arrival());
+                let nexts = inbox.iter().map(|q| q.front().map(|&(at, _)| at));
                 let Some(h) = conservative_horizon(nexts, la) else {
                     break;
                 };
                 // Advance shard groups in index order; inside a group,
-                // deliveries merge by (time, process, seq).
+                // deliveries merge by (time, process).
                 for g in 0..shards {
-                    let mut due: Vec<(SimTime, usize, u64, u64)> = Vec::new();
+                    let mut due: Vec<(SimTime, usize, u64)> = Vec::new();
                     for p in (0..PROCS).filter(|&p| group_of(p) == g) {
-                        for m in chans[p].drain_until(h) {
-                            due.push((m.at, p, m.seq, m.payload));
+                        while inbox[p].front().is_some_and(|&(at, _)| at <= h) {
+                            let (at, hop) = inbox[p].pop_front().expect("front checked");
+                            due.push((at, p, hop));
                         }
                     }
                     due.sort();
-                    for (at, p, _seq, hop) in due {
+                    for (at, p, hop) in due {
                         trace.push((at.as_nanos(), p, hop));
                         if hop < HOPS {
-                            chans[(p + 1) % PROCS].send(at + la, hop + 1);
+                            inbox[(p + 1) % PROCS].push_back((at + la, hop + 1));
                         }
                     }
                 }
