@@ -4,8 +4,8 @@
 # Usage: ./ci.sh [--quick]
 #   --quick  fast tier: fmt/clippy/build/test plus the byte-identity gates
 #            (thread-count, profiler zero-perturbation, sharded-calendar,
-#            committed fig9 baseline, per-target figure digests). Minutes,
-#            suitable for every push.
+#            committed fig9 baseline, per-target figure, trace and metrics
+#            digests). Minutes, suitable for every push.
 #   (bare)   full tier: the quick tier plus fault/adversary/crash soaks,
 #            the chaos explorer, the sweep + rack scaling measurements and
 #            their BENCH_*.json artifacts, and the perf-regression gate.
@@ -85,28 +85,38 @@ echo "==> adversary-off/crash-off byte-identity gate: fig9 --quick vs committed 
 cmp tests/baselines/fig9_quick.json "$TMP/fig9_seq.json"
 echo "    byte-identical to tests/baselines/fig9_quick.json"
 
-echo "==> figure-digest gate: every repro target vs tests/baselines/quick_digests.txt"
+echo "==> figure-digest gate: every repro target, trace and metrics vs tests/baselines/quick_digests.txt"
 # The behavioural contract is every byte `repro` emits, not just fig9:
 # each target's JSON must hash to its committed digest. digest.py hashes
 # one canonical form per target, independent of any JSON printer's version.
 # `all` runs at pool width: the digests were made at RESEX_THREADS=1, so
-# this also extends the thread-count gate above to every target. If this
-# fails after an *intentional* output change, regenerate with:
+# this also extends the thread-count gate above to every target. The
+# observability outputs are guarded too: `trace` and `metrics` are the
+# sha256 of the raw bytes of fig9 --quick's --trace and --metrics files.
+# If this fails after an *intentional* output change, regenerate with:
 #   RESEX_THREADS=1 ./target/release/repro all --quick --json /tmp/all.json
 #   ./target/release/repro rack --quick --json /tmp/rack.json
-#   python3 tests/baselines/digest.py /tmp/all.json /tmp/rack.json \
-#       > tests/baselines/quick_digests.txt
+#   RESEX_THREADS=1 ./target/release/repro fig9 --quick --trace /tmp/t.json --metrics /tmp/m.jsonl
+#   { python3 tests/baselines/digest.py /tmp/all.json /tmp/rack.json
+#     echo "trace $(sha256sum < /tmp/t.json | cut -d' ' -f1)"
+#     echo "metrics $(sha256sum < /tmp/m.jsonl | cut -d' ' -f1)"
+#   } > tests/baselines/quick_digests.txt
 RESEX_THREADS="$PAR_THREADS" "$REPRO" all --quick --json "$TMP/all.json" >/dev/null 2>&1
 "$REPRO" rack --quick --json "$TMP/rack.json" >/dev/null 2>&1
-python3 tests/baselines/digest.py "$TMP/all.json" "$TMP/rack.json" > "$TMP/digests.txt"
+RESEX_THREADS=1 "$REPRO" fig9 --quick --trace "$TMP/trace.json" --metrics "$TMP/metrics.jsonl" >/dev/null 2>&1
+{
+    python3 tests/baselines/digest.py "$TMP/all.json" "$TMP/rack.json"
+    echo "trace $(sha256sum < "$TMP/trace.json" | cut -d' ' -f1)"
+    echo "metrics $(sha256sum < "$TMP/metrics.jsonl" | cut -d' ' -f1)"
+} > "$TMP/digests.txt"
 MOVED=""
-for t in fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ablation hw_qos scaling rack; do
+for t in fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ablation hw_qos scaling rack trace metrics; do
     got=$(awk -v t="$t" '$1 == t { print $2 }' "$TMP/digests.txt")
     want=$(awk -v t="$t" '$1 == t { print $2 }' tests/baselines/quick_digests.txt)
     [ -n "$got" ] && [ "$got" = "$want" ] || MOVED="$MOVED $t"
 done
 [ -z "$MOVED" ] || { echo "    FAIL: output moved for:$MOVED"; exit 1; }
-echo "    all 13 targets match their committed digests"
+echo "    all 13 targets and the trace/metrics outputs match their committed digests"
 
 if [ "$TIER" = quick ]; then
     echo "==> OK (quick tier; run bare ./ci.sh for soak/chaos/perf and BENCH artifacts)"

@@ -2,30 +2,28 @@
 //!
 //! The paper's argument is causal: IBMon *observes* VMM-bypass I/O, ResEx
 //! *prices* it, and the credit scheduler's cap *actuates* the price. This
-//! crate makes each link of that chain visible without perturbing it:
+//! crate makes each link of that chain visible without perturbing it,
+//! with one mechanism per concern:
 //!
-//! * [`Tracer`] / [`TraceSink`] — structured span/instant/counter events
-//!   stamped with [`SimTime`](resex_simcore::SimTime), scoped by subsystem
+//! * [`Tracer`] — structured span/instant/counter events stamped with
+//!   [`SimTime`](resex_simcore::SimTime), scoped by subsystem
 //!   (`fabric.link`, `hv.sched`, `resex.manager`, `ibmon`, ...) and entity
-//!   (VM / QP / domain). A disabled tracer is a `None` handle: the hot
-//!   paths check [`Tracer::enabled`] (an inlined `Option::is_some`) and
-//!   skip all argument construction, so tracing off costs ~nothing.
-//! * [`MetricsRegistry`] — counters, gauges and histograms built on
-//!   `resex-simcore`'s `OnlineStats`/`Histogram`/`WindowedRate`,
-//!   snapshotted every charging interval.
-//! * Exporters — [`chrome::export_chrome_trace`] renders a Chrome
-//!   trace-event JSON array loadable in Perfetto / `chrome://tracing`
-//!   (one "process" per VM, one "thread" per subsystem), and
-//!   [`snapshot::to_jsonl`] renders per-interval per-VM metric rows as
-//!   JSON Lines.
+//!   (VM / QP / domain), buffered in memory in emission order. A disabled
+//!   tracer is a `None` handle: the hot paths check [`Tracer::enabled`]
+//!   (an inlined `Option::is_some`) and skip all argument construction, so
+//!   tracing off costs ~nothing. [`chrome::export_chrome_trace`] renders
+//!   the buffer as a Chrome trace-event JSON array loadable in Perfetto /
+//!   `chrome://tracing` (one "process" per VM, one "thread" per
+//!   subsystem).
+//! * [`IntervalSnapshot`] — one row per VM per charging interval lining
+//!   up the causal chain; [`snapshot::to_jsonl`] renders the rows as JSON
+//!   Lines. [`SloMonitor`] counts per-interval SLO violations against a
+//!   configured latency threshold.
 //! * [`Profiler`] — a self-profiler for the simulator itself: wall-clock
 //!   cost per event-type chain, calendar sizes, and (when the binary
 //!   installs [`alloc::CountingAlloc`]) allocation counts, with a
 //!   collapsed-stack exporter for flamegraph tooling. Wall-clock reads
 //!   live outside the DES clock, so profiled runs stay byte-identical.
-//! * [`HdrHistogram`] — fixed-memory log-bucketed latency histogram with
-//!   a byte-stable binary encoding; [`SloMonitor`] counts per-interval
-//!   SLO violations against a configured latency threshold.
 //!
 //! Everything here is deterministic: event order is emission order, maps
 //! are ordered, and float formatting is fixed — the same seed produces
@@ -33,20 +31,16 @@
 
 pub mod alloc;
 pub mod chrome;
-pub mod hist;
-pub mod metrics;
 pub mod profiler;
 pub mod slo;
 pub mod snapshot;
 pub mod trace;
 
 pub use chrome::export_chrome_trace;
-pub use hist::{CodecError, HdrHistogram, LatencyPercentiles};
-pub use metrics::{MetricKind, MetricSample, MetricsRegistry};
 pub use profiler::{CalendarStats, FrameStats, Profile, Profiler};
 pub use slo::SloMonitor;
 pub use snapshot::{to_jsonl, IntervalSnapshot};
-pub use trace::{ArgValue, EventKind, MemorySink, Scope, TraceEvent, TraceSink, Tracer};
+pub use trace::{ArgValue, EventKind, Scope, TraceEvent, Tracer};
 
 /// Canonical subsystem names. Using these constants (not ad-hoc strings)
 /// keeps traces greppable and gives the Chrome exporter a stable thread

@@ -171,8 +171,8 @@ struct ProfInner {
 }
 
 /// Per-`World` profiler handle. Disabled, it is a `None` and every call
-/// is a no-op the optimizer removes; the event loop additionally hoists
-/// [`Profiler::is_enabled`] so the hot path stays branch-free when off.
+/// is a no-op; the event loop checks [`Profiler::is_enabled`] once per
+/// frame, so profiling off costs one branch.
 pub struct Profiler {
     inner: Option<Box<ProfInner>>,
 }
@@ -199,11 +199,17 @@ impl Profiler {
         Profiler { inner: None }
     }
 
-    /// Whether profiling is active. Inlined so the event loop can hoist
-    /// the check.
+    /// Whether profiling is active.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// Whether a frame is open: false between dispatched events, true
+    /// inside one.
+    #[inline]
+    pub fn in_frame(&self) -> bool {
+        self.inner.as_ref().is_some_and(|i| !i.stack.is_empty())
     }
 
     /// Marks the dispatch of one event: counts it, samples the calendar
@@ -400,6 +406,19 @@ mod tests {
         assert!(root.wall_ns >= child.wall_ns);
         assert!(root.self_ns <= root.wall_ns);
         assert_eq!(profile.frames["End"].calls, 1);
+    }
+
+    #[test]
+    fn in_frame_tracks_the_open_stack() {
+        let mut p = Profiler::new(true);
+        assert!(!p.in_frame());
+        p.observe("Ev", 1);
+        p.enter("child");
+        assert!(p.in_frame());
+        p.exit();
+        p.exit();
+        assert!(!p.in_frame());
+        assert!(!Profiler::disabled().in_frame());
     }
 
     #[test]

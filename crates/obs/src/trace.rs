@@ -1,4 +1,4 @@
-//! The trace core: events, sinks, and the cloneable [`Tracer`] handle.
+//! The trace core: events and the cloneable, buffering [`Tracer`] handle.
 
 use resex_simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -109,35 +109,6 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
-/// Receives trace events as they are emitted.
-pub trait TraceSink: Send {
-    /// Records one event. Called in deterministic simulation order.
-    fn record(&mut self, event: TraceEvent);
-
-    /// Hands back all buffered events, if this sink buffers them.
-    /// Streaming sinks (which own their output) return an empty Vec.
-    fn drain(&mut self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-}
-
-/// The default sink: an in-memory, emission-ordered event buffer.
-#[derive(Default)]
-pub struct MemorySink {
-    /// Recorded events in emission order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl TraceSink for MemorySink {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-
-    fn drain(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
 /// Entity-mapping state shared with exporters: which VM a QP or domain
 /// belongs to, and human-readable VM labels. Ordered maps keep exports
 /// deterministic.
@@ -145,8 +116,6 @@ impl TraceSink for MemorySink {
 pub struct EntityMap {
     /// QP number → VM index.
     pub qp_to_vm: BTreeMap<u32, u32>,
-    /// Fabric node → VM index.
-    pub node_to_vm: BTreeMap<u32, u32>,
     /// Domain id → VM index.
     pub domain_to_vm: BTreeMap<u32, u32>,
     /// VM index → display label.
@@ -159,16 +128,17 @@ impl EntityMap {
         match scope {
             Scope::Vm(v) => Some(v),
             Scope::Qp(q) => self.qp_to_vm.get(&q).copied(),
-            Scope::Node(n) => self.node_to_vm.get(&n).copied(),
             Scope::Domain(d) => self.domain_to_vm.get(&d).copied(),
             Scope::Client(c) => Some(c),
-            Scope::Global => None,
+            Scope::Node(_) | Scope::Global => None,
         }
     }
 }
 
+#[derive(Default)]
 struct TracerInner {
-    sink: Box<dyn TraceSink>,
+    /// Recorded events in emission order.
+    events: Vec<TraceEvent>,
     entities: EntityMap,
 }
 
@@ -176,7 +146,7 @@ struct TracerInner {
 ///
 /// Disabled (the default) it is a `None` and every emit call reduces to
 /// one branch; hot paths should still guard argument construction with
-/// [`Tracer::enabled`]. The enabled form wraps the sink in
+/// [`Tracer::enabled`]. The enabled form wraps its event buffer in
 /// `Arc<Mutex<..>>` so the handle stays `Send + Clone` (scenario sweeps
 /// run on worker threads); the simulation itself is single-threaded per
 /// run, so the lock is uncontended.
@@ -191,20 +161,12 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// A tracer recording into the given sink.
-    pub fn new(sink: Box<dyn TraceSink>) -> Self {
-        Tracer {
-            inner: Some(Arc::new(Mutex::new(TracerInner {
-                sink,
-                entities: EntityMap::default(),
-            }))),
-        }
-    }
-
     /// A tracer recording into an in-memory buffer; drain with
     /// [`Tracer::take_events`].
     pub fn memory() -> Self {
-        Tracer::new(Box::<MemorySink>::default())
+        Tracer {
+            inner: Some(Arc::default()),
+        }
     }
 
     /// True if events are being recorded. Inlines to `Option::is_some`.
@@ -217,13 +179,6 @@ impl Tracer {
     pub fn map_qp_to_vm(&self, qp: u32, vm: u32) {
         if let Some(inner) = &self.inner {
             inner.lock().unwrap().entities.qp_to_vm.insert(qp, vm);
-        }
-    }
-
-    /// Registers a fabric node as belonging to a VM.
-    pub fn map_node_to_vm(&self, node: u32, vm: u32) {
-        if let Some(inner) = &self.inner {
-            inner.lock().unwrap().entities.node_to_vm.insert(node, vm);
         }
     }
 
@@ -255,7 +210,7 @@ impl Tracer {
     #[inline]
     pub fn emit(&self, event: TraceEvent) {
         if let Some(inner) = &self.inner {
-            inner.lock().unwrap().sink.record(event);
+            inner.lock().unwrap().events.push(event);
         }
     }
 
@@ -326,16 +281,15 @@ impl Tracer {
         }
     }
 
-    /// Takes all recorded events and a copy of the entity map out of a
-    /// buffering (memory) tracer. Returns empty state for streaming sinks
-    /// or a disabled tracer.
+    /// Takes all recorded events and a copy of the entity map. Returns
+    /// empty state for a disabled tracer.
     pub fn take_events(&self) -> (Vec<TraceEvent>, EntityMap) {
         match &self.inner {
             None => (Vec::new(), EntityMap::default()),
             Some(inner) => {
                 let mut guard = inner.lock().unwrap();
                 let entities = guard.entities.clone();
-                (guard.sink.drain(), entities)
+                (std::mem::take(&mut guard.events), entities)
             }
         }
     }

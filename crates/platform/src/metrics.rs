@@ -1,14 +1,15 @@
 //! Experiment output: everything a figure needs.
 //!
 //! Memory is bounded by construction: latency percentiles come from a
-//! fixed-size [`HdrHistogram`] and the component means from an
+//! fixed-size [`Histogram`] and the component means from an
 //! incrementally-updated [`LatencySummary`], so a million-request run
 //! costs the same bytes as a thousand-request run. The raw per-request
 //! [`LatencyRecord`] stream is opt-in (`keep_records`) for tests and
 //! tools that need exact-sort ground truth.
 
 use resex_benchex::{LatencyRecord, LatencySummary};
-use resex_obs::{HdrHistogram, SloMonitor};
+use resex_obs::SloMonitor;
+use resex_simcore::stats::Histogram;
 use resex_simcore::time::SimDuration;
 use resex_simcore::{ShardStats, TimeSeries};
 use serde::Serialize;
@@ -28,7 +29,7 @@ pub struct VmMetrics {
     /// Incremental component summary (total/ptime/ctime/wtime), post-warmup.
     pub summary: LatencySummary,
     /// Latency histogram (total service time, ns), post-warmup.
-    pub histogram: HdrHistogram,
+    pub histogram: Histogram,
     /// SLO-violation monitor, present when the VM's spec sets a latency
     /// threshold. Pure observation — never feeds back into scheduling.
     pub slo: Option<SloMonitor>,
@@ -80,7 +81,7 @@ impl VmMetrics {
             records: Vec::new(),
             keep_records: false,
             summary: LatencySummary::new(),
-            histogram: HdrHistogram::with_default_resolution(),
+            histogram: Histogram::with_default_resolution(),
             slo: None,
             slo_trace: TimeSeries::new(),
             cap_trace: TimeSeries::new(),
@@ -171,19 +172,19 @@ impl RunMetrics {
             .iter()
             .map(|v| {
                 let s = v.summary();
-                let pct = v.histogram.percentiles();
+                let pct_us = |q: f64| v.histogram.quantile(q) as f64 / 1000.0;
                 SummaryRow {
                     vm: v.name.clone(),
                     requests: s.count(),
                     mean_us: s.total.mean(),
                     std_us: s.total.population_std_dev(),
-                    p99_us: v.histogram.quantile(0.99) as f64 / 1000.0,
+                    p99_us: pct_us(0.99),
                     ptime_us: s.ptime.mean(),
                     ctime_us: s.ctime.mean(),
                     wtime_us: s.wtime.mean(),
-                    p50_us: pct.p50 as f64 / 1000.0,
-                    p90_us: pct.p90 as f64 / 1000.0,
-                    p999_us: pct.p999 as f64 / 1000.0,
+                    p50_us: pct_us(0.50),
+                    p90_us: pct_us(0.90),
+                    p999_us: pct_us(0.999),
                 }
             })
             .collect()

@@ -28,10 +28,9 @@
 
 use crate::metrics::RunMetrics;
 use crate::scenario::{ScenarioConfig, VmSpec};
-use crate::world::{ObservedRun, World};
+use crate::world::World;
 use rayon::prelude::*;
 use resex_fabric::{FabricConfig, RackTopology, Topology, UplinkArbiter};
-use resex_obs::Profile;
 use resex_simcore::time::{SimDuration, SimTime};
 use resex_simcore::{conservative_horizon, ShardStats};
 
@@ -50,9 +49,6 @@ pub struct RackConfig {
     pub warmup: SimDuration,
     /// Rack master seed; each host forks its own seed from it by index.
     pub seed: u64,
-    /// Arm every shard's event-loop self-profiler and merge the results
-    /// into [`RackRun::profile`].
-    pub profile: bool,
 }
 
 impl RackConfig {
@@ -71,7 +67,6 @@ impl RackConfig {
             duration: SimDuration::from_millis(120),
             warmup: SimDuration::from_millis(20),
             seed: 42,
-            profile: false,
         }
     }
 
@@ -95,8 +90,6 @@ pub struct RackRun {
     pub oversub_windows: u64,
     /// Events processed across all shards.
     pub total_events: u64,
-    /// Merged per-shard self-profiles (present iff `RackConfig::profile`).
-    pub profile: Option<Profile>,
 }
 
 impl RackRun {
@@ -158,7 +151,6 @@ fn host_scenario(cfg: &RackConfig, host: u32) -> ScenarioConfig {
     sc.duration = cfg.duration;
     sc.warmup = cfg.warmup;
     sc.seed = fork_seed(cfg.seed, host);
-    sc.obs.profile = cfg.profile;
     sc.topology = Topology::Rack(topo);
     sc
 }
@@ -313,13 +305,13 @@ pub fn run_rack(cfg: &RackConfig) -> RackRun {
     }
 
     // Settle and harvest every shard (parallel, positional).
-    let finished: Vec<(ShardStats, RunMetrics, ObservedRun)> = shards
+    let finished: Vec<(ShardStats, RunMetrics)> = shards
         .into_par_iter()
         .map(|s| {
             let mut stats = s.stats;
-            let (metrics, observed) = s.world.finish();
+            let (metrics, _) = s.world.finish();
             stats.events = metrics.events_processed;
-            (stats, metrics, observed)
+            (stats, metrics)
         })
         .collect();
 
@@ -329,17 +321,10 @@ pub fn run_rack(cfg: &RackConfig) -> RackRun {
         windows,
         oversub_windows,
         total_events: 0,
-        profile: None,
     };
-    for (stats, metrics, observed) in finished {
+    for (stats, metrics) in finished {
         run.total_events += stats.events;
         run.shards.push(stats);
-        if let Some(p) = observed.profile {
-            match &mut run.profile {
-                Some(merged) => merged.merge(&p),
-                None => run.profile = Some(p),
-            }
-        }
         run.hosts.push(metrics);
     }
     run

@@ -27,8 +27,8 @@ use resex_benchex::{
     REQUEST_WIRE_BYTES, RESPONSE_HEADER_BYTES,
 };
 use resex_core::{
-    BufferRatio, DecisionJournal, DemandPricing, FreeMarket, IoShares, LatencyFeedback,
-    ManagerAction, PricingPolicy, ResExManager, StaticReserve, VmId, VmSnapshot,
+    BufferRatio, DecisionJournal, DemandPricing, FreeMarket, IntervalOutcome, IoShares,
+    LatencyFeedback, ManagerAction, PricingPolicy, ResExManager, StaticReserve, VmId, VmSnapshot,
 };
 use resex_fabric::qp::{RecvRequest, WorkRequest};
 use resex_fabric::{
@@ -39,8 +39,8 @@ use resex_faults::CrashFaults;
 use resex_hypervisor::{DomainId, HvError, HvEvent, Hypervisor, VcpuId, XenStat};
 use resex_ibmon::{IbMon, IbMonConfig};
 use resex_obs::{
-    export_chrome_trace, profiler, subsystem, to_jsonl, IntervalSnapshot, MetricSample,
-    MetricsRegistry, Profile, Profiler, Scope, Tracer,
+    export_chrome_trace, profiler, subsystem, to_jsonl, IntervalSnapshot, Profile, Profiler, Scope,
+    Tracer,
 };
 use resex_simcore::event::{EventKey, EventQueue};
 use resex_simcore::rng::SimRng;
@@ -191,7 +191,6 @@ pub struct World {
     srv_qp_to_vm: HashMap<QpNum, usize>,
     cli_qp_to_client: HashMap<QpNum, usize>,
     tracer: Tracer,
-    registry: MetricsRegistry,
     snapshots: Vec<IntervalSnapshot>,
     interval_count: u64,
     /// True when the scenario armed the fault plane; gates the strict
@@ -246,9 +245,6 @@ pub struct ObservedRun {
     /// Per-interval per-VM snapshots as JSON Lines (present iff
     /// `obs.metrics` was set).
     pub metrics_jsonl: Option<String>,
-    /// Final registry snapshot: every counter/gauge/distribution/rate in
-    /// deterministic key order (empty unless `obs.metrics` was set).
-    pub summary: Vec<MetricSample>,
     /// Event-loop self-profile (present iff `obs.profile` was set).
     pub profile: Option<Profile>,
 }
@@ -269,7 +265,7 @@ impl World {
             cfg.fabric.switch_latency = cfg.topology.one_way_latency(&cfg.fabric);
             cfg.fabric.wire_latency = SimDuration::ZERO;
         }
-        let tracer = if cfg.obs.any() {
+        let tracer = if cfg.obs.trace {
             Tracer::memory()
         } else {
             Tracer::disabled()
@@ -603,7 +599,6 @@ impl World {
             srv_qp_to_vm,
             cli_qp_to_client,
             tracer,
-            registry: MetricsRegistry::new(),
             snapshots: Vec::new(),
             interval_count: 0,
             faults_on,
@@ -731,121 +726,113 @@ impl World {
         if self.done {
             return true;
         }
-        let warmup = self.cfg.warmup;
-        // Hoisted so the hot loop pays one branch per event when off —
-        // the same pattern the tracer uses.
-        let profiling = self.profiler.is_enabled();
         while self.queue.peek_time().is_some_and(|t| t <= horizon) {
             let (t, ev) = self.queue.pop().expect("peeked event");
             self.events += 1;
-            if profiling {
-                self.profiler.observe(ev_name(&ev), self.queue.len());
+            if self.framed(ev_name(&ev), |w| w.dispatch(t, ev)) {
+                self.rearm();
             }
-            match ev {
-                Ev::End => {
-                    if profiling {
-                        self.profiler.exit();
-                    }
-                    self.done = true;
-                    return true;
-                }
-                Ev::FabricSync => {
-                    let armed_at = match self.fabric_sync {
-                        Some((ft, _, a)) if ft == t => {
-                            self.fabric_sync = None;
-                            a
-                        }
-                        _ => t,
-                    };
-                    // A `BatchDone` wake-up was armed when the batch was
-                    // created, but the chunk-at-a-time execution would have
-                    // armed the final completion only at the previous chunk
-                    // boundary. If this sync jumped ahead of same-instant
-                    // events armed in between, re-arm it behind them (the
-                    // fresh key is armed "now", so it cannot defer twice).
-                    if let Some(v) = self.fabric.batch_fire_arming(t) {
-                        if armed_at < v {
-                            let key = self.queue.schedule_at(t, Ev::FabricSync);
-                            self.fabric_sync = Some((t, key, t));
-                            if profiling {
-                                self.profiler.exit();
-                            }
-                            continue;
-                        }
-                    }
-                    if profiling {
-                        self.profiler.enter("fabric.advance");
-                    }
-                    // The scratch is moved out for the drain so the event
-                    // handlers can borrow `self`; its capacity survives.
-                    let mut evs = std::mem::take(&mut self.fab_events);
-                    self.fabric.advance_into(t, &mut evs);
-                    if profiling {
-                        self.profiler.exit();
-                    }
-                    for (et, fe) in evs.drain(..) {
-                        if profiling {
-                            self.profiler.enter(fabric_ev_name(&fe));
-                        }
-                        self.on_fabric_event(et, fe, warmup);
-                        if profiling {
-                            self.profiler.exit();
-                        }
-                    }
-                    self.fab_events = evs;
-                }
-                Ev::HvSync => {
-                    let armed_at = match self.hv_sync {
-                        Some((ht, _, a)) if ht == t => {
-                            self.hv_sync = None;
-                            a
-                        }
-                        _ => t,
-                    };
-                    // A batched chunk boundary landing exactly here must be
-                    // applied first when its per-chunk completion would have
-                    // been armed no later than this sync (rearm always arms
-                    // the fabric before the hypervisor at the same instant).
-                    self.fabric.presync_boundary(t, armed_at);
-                    if profiling {
-                        self.profiler.enter("hv.advance");
-                    }
-                    let mut evs = std::mem::take(&mut self.hv_events);
-                    self.hv.advance_into(t, &mut evs);
-                    if profiling {
-                        self.profiler.exit();
-                    }
-                    for (et, he) in evs.drain(..) {
-                        let HvEvent::JobDone { dom, .. } = he;
-                        if profiling {
-                            self.profiler.enter("JobDone");
-                        }
-                        self.on_compute_done(dom, et);
-                        if profiling {
-                            self.profiler.exit();
-                        }
-                    }
-                    self.hv_events = evs;
-                }
-                Ev::ClientTimer { client } => {
-                    let mut acts = std::mem::take(&mut self.client_actions);
-                    self.clients[client].client.on_timer_into(t, &mut acts);
-                    for act in acts.drain(..) {
-                        self.apply_client_action(client, act, t);
-                    }
-                    self.client_actions = acts;
-                }
-                Ev::RequestTimeout { client, req_id } => {
-                    self.on_request_timeout(client, req_id, t);
-                }
-                Ev::ResExInterval => self.on_resex_interval(t),
+            if self.done {
+                return true;
             }
-            if profiling {
-                self.profiler.exit();
-            }
-            self.rearm();
         }
         false
+    }
+
+    /// Runs `f` inside the self-profiler frame `name`. This is the only
+    /// place frames open and close, so every enter has its exit. With no
+    /// frame open, `name` is a dispatched event's root frame, and the
+    /// profiler also counts the event and samples the calendar size.
+    #[inline]
+    fn framed<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
+        if !self.profiler.is_enabled() {
+            return f(self);
+        }
+        if self.profiler.in_frame() {
+            self.profiler.enter(name);
+        } else {
+            self.profiler.observe(name, self.queue.len());
+        }
+        let r = f(self);
+        self.profiler.exit();
+        r
+    }
+
+    /// Handles one popped event. Returns whether the fabric and
+    /// hypervisor wake-ups need re-arming: not after `End`, and not after
+    /// a deferred `BatchDone` re-arm, which armed its own sync.
+    fn dispatch(&mut self, t: SimTime, ev: Ev) -> bool {
+        match ev {
+            Ev::End => {
+                self.done = true;
+                return false;
+            }
+            Ev::FabricSync => {
+                let armed_at = match self.fabric_sync {
+                    Some((ft, _, a)) if ft == t => {
+                        self.fabric_sync = None;
+                        a
+                    }
+                    _ => t,
+                };
+                // A `BatchDone` wake-up was armed when the batch was
+                // created, but the chunk-at-a-time execution would have
+                // armed the final completion only at the previous chunk
+                // boundary. If this sync jumped ahead of same-instant
+                // events armed in between, re-arm it behind them (the
+                // fresh key is armed "now", so it cannot defer twice).
+                if let Some(v) = self.fabric.batch_fire_arming(t) {
+                    if armed_at < v {
+                        let key = self.queue.schedule_at(t, Ev::FabricSync);
+                        self.fabric_sync = Some((t, key, t));
+                        return false;
+                    }
+                }
+                // The scratch is moved out for the drain so the event
+                // handlers can borrow `self`; its capacity survives.
+                let mut evs = std::mem::take(&mut self.fab_events);
+                self.framed("fabric.advance", |w| w.fabric.advance_into(t, &mut evs));
+                let warmup = self.cfg.warmup;
+                for (et, fe) in evs.drain(..) {
+                    self.framed(fabric_ev_name(&fe), |w| w.on_fabric_event(et, fe, warmup));
+                }
+                self.fab_events = evs;
+            }
+            Ev::HvSync => {
+                let armed_at = match self.hv_sync {
+                    Some((ht, _, a)) if ht == t => {
+                        self.hv_sync = None;
+                        a
+                    }
+                    _ => t,
+                };
+                // A batched chunk boundary landing exactly here must be
+                // applied first when its per-chunk completion would have
+                // been armed no later than this sync (rearm always arms
+                // the fabric before the hypervisor at the same instant).
+                self.fabric.presync_boundary(t, armed_at);
+                let mut evs = std::mem::take(&mut self.hv_events);
+                self.framed("hv.advance", |w| w.hv.advance_into(t, &mut evs));
+                for (et, he) in evs.drain(..) {
+                    let HvEvent::JobDone { dom, .. } = he;
+                    self.framed("JobDone", |w| w.on_compute_done(dom, et));
+                }
+                self.hv_events = evs;
+            }
+            Ev::ClientTimer { client } => {
+                let mut acts = std::mem::take(&mut self.client_actions);
+                self.clients[client].client.on_timer_into(t, &mut acts);
+                for act in acts.drain(..) {
+                    self.apply_client_action(client, act, t);
+                }
+                self.client_actions = acts;
+            }
+            Ev::RequestTimeout { client, req_id } => {
+                self.on_request_timeout(client, req_id, t);
+            }
+            Ev::ResExInterval => self.on_resex_interval(t),
+        }
+        true
     }
 
     /// Settles the fabric, audits invariants, and assembles metrics.
@@ -946,7 +933,6 @@ impl World {
         }
         if self.cfg.obs.metrics {
             observed.metrics_jsonl = Some(to_jsonl(&self.snapshots));
-            observed.summary = self.registry.snapshot(SimTime::ZERO + duration);
         }
         if let Some(profile) = self.profiler.finish() {
             if profiler::global_enabled() {
@@ -1787,13 +1773,43 @@ impl World {
                 .config();
             (cfg.interval, cfg.watchdog_actuation_failures)
         };
+        let (snapshots, mut rows) = self.framed("telemetry", |w| w.interval_telemetry(t));
+        let outcome = self.framed("policy", |w| {
+            w.manager
+                .as_mut()
+                .expect("manager present")
+                .on_interval(t, &snapshots)
+        });
+        self.framed("actuate", |w| {
+            w.interval_actuate(t, &outcome, force_after, &mut rows)
+        });
+        self.framed("snapshot", |w| w.interval_snapshot(&outcome, rows));
+        self.interval_count += 1;
+        // Hardening: a jittered manager samples each next interval in
+        // [1 - frac/2, 1 + frac/2]× the nominal cadence, so an attacker
+        // cannot phase-lock bursts to the charging boundary. Legacy
+        // (frac = 0) runs take the `None` arm and draw nothing.
+        let next = match &mut self.jitter_rng {
+            Some(rng) => {
+                let frac = self.cfg.resex.interval_jitter_frac;
+                interval.mul_f64(1.0 + frac * (rng.next_f64() - 0.5))
+            }
+            None => interval,
+        };
+        self.queue.schedule_at(t + next, Ev::ResExInterval);
+    }
+
+    /// The telemetry phase of a charging interval: IBMon, XenStat and
+    /// agent readings per VM, plus one metrics row per VM when metrics
+    /// are recorded.
+    fn interval_telemetry(
+        &mut self,
+        t: SimTime,
+    ) -> (Vec<(VmId, VmSnapshot)>, Vec<IntervalSnapshot>) {
+        let traced = self.tracer.enabled();
         let record_metrics = self.cfg.obs.metrics;
-        let profiling = self.profiler.is_enabled();
         let mut snapshots = Vec::with_capacity(self.vms.len());
-        let mut rows: Vec<IntervalSnapshot> = Vec::new();
-        if profiling {
-            self.profiler.enter("telemetry");
-        }
+        let mut rows = Vec::new();
         for i in 0..self.vms.len() {
             let dom = self.vms[i].dom;
             let mut usage = self.ibmon.sample_vm(dom, t).expect("introspection reads");
@@ -1864,54 +1880,43 @@ impl World {
             ));
             self.metrics[i].mtus_trace.push(t, usage.mtus as f64);
 
-            if self.tracer.enabled() {
+            if traced || record_metrics {
                 // The platform is the one place that can see both IBMon's
                 // introspected estimate and the fabric's ground truth, so
-                // the comparison event is emitted here rather than inside
-                // the ibmon crate.
+                // the comparison is made here rather than inside the
+                // ibmon crate.
                 let qc = self
                     .fabric
                     .qp_counters(self.node_srv, self.vms[i].qp)
                     .expect("qp exists");
                 let mtus_ibmon = self.ibmon.lifetime_mtus(dom);
-                self.tracer.instant(
-                    t,
-                    subsystem::IBMON,
-                    "sample",
-                    Scope::Vm(i as u32),
-                    vec![
-                        ("interval_mtus", usage.mtus.into()),
-                        ("lifetime_mtus", mtus_ibmon.into()),
-                        ("fabric_mtus", qc.mtus_sent.into()),
-                        ("est_buffer_size", usage.est_buffer_size.into()),
-                    ],
-                );
-                self.tracer.counter(
-                    t,
-                    subsystem::IBMON,
-                    "est_buffer_size",
-                    Scope::Vm(i as u32),
-                    usage.est_buffer_size,
-                );
-                if record_metrics {
-                    let name = self.cfg.vms[i].name.clone();
-                    self.registry.gauge_set(
-                        subsystem::FABRIC_LINK,
-                        &name,
-                        "egress_bytes_total",
-                        qc.bytes_sent as f64,
+                if traced {
+                    self.tracer.instant(
+                        t,
+                        subsystem::IBMON,
+                        "sample",
+                        Scope::Vm(i as u32),
+                        vec![
+                            ("interval_mtus", usage.mtus.into()),
+                            ("lifetime_mtus", mtus_ibmon.into()),
+                            ("fabric_mtus", qc.mtus_sent.into()),
+                            ("est_buffer_size", usage.est_buffer_size.into()),
+                        ],
                     );
-                    self.registry
-                        .dist_record(subsystem::IBMON, &name, "interval_mtus", usage.mtus);
-                    self.registry
-                        .rate_record(subsystem::IBMON, &name, "mtus", t, usage.mtus);
-                    self.registry
-                        .gauge_set(subsystem::HV_SCHED, &name, "cpu_percent", cpu.percent);
+                    self.tracer.counter(
+                        t,
+                        subsystem::IBMON,
+                        "est_buffer_size",
+                        Scope::Vm(i as u32),
+                        usage.est_buffer_size,
+                    );
+                }
+                if record_metrics {
                     rows.push(IntervalSnapshot {
                         t_ns: t.as_nanos(),
                         interval: self.interval_count,
                         vm: i as u32,
-                        vm_name: name,
+                        vm_name: self.cfg.vms[i].name.clone(),
                         egress_bytes: qc.bytes_sent,
                         mtus_fabric: qc.mtus_sent,
                         mtus_ibmon,
@@ -1923,20 +1928,19 @@ impl World {
             }
         }
         self.xenstat.end_round(t);
-        if profiling {
-            self.profiler.exit();
-            self.profiler.enter("policy");
-        }
+        (snapshots, rows)
+    }
 
-        let outcome = self
-            .manager
-            .as_mut()
-            .expect("manager present")
-            .on_interval(t, &snapshots);
-        if profiling {
-            self.profiler.exit();
-            self.profiler.enter("actuate");
-        }
+    /// The actuation phase: applies the policy's caps (escalating to the
+    /// forced path after repeated failures), then records cap, Reso and
+    /// SLO traces.
+    fn interval_actuate(
+        &mut self,
+        t: SimTime,
+        outcome: &IntervalOutcome,
+        force_after: u32,
+        rows: &mut [IntervalSnapshot],
+    ) {
         for action in &outcome.actions {
             let ManagerAction::SetCap { vm, cap_pct } = *action;
             let dom = self.vms[vm.index()].dom;
@@ -1994,8 +1998,7 @@ impl World {
             self.metrics[i].cap_trace.push(t, cap as f64);
         }
         // Close each monitored VM's SLO interval. `rows` has one entry
-        // per VM whenever `record_metrics` is set (the telemetry loop
-        // above fills it unconditionally in that mode).
+        // per VM when metrics are recorded and none otherwise.
         for (i, m) in self.metrics.iter_mut().enumerate() {
             if let Some(slo) = &mut m.slo {
                 let (checked, violations) = slo.end_interval();
@@ -2005,82 +2008,49 @@ impl World {
                     violations as f64 / checked as f64
                 };
                 m.slo_trace.push(t, frac);
-                if record_metrics {
-                    rows[i].slo_checked = checked;
-                    rows[i].slo_violations = violations;
+                if let Some(row) = rows.get_mut(i) {
+                    row.slo_checked = checked;
+                    row.slo_violations = violations;
                 }
             }
         }
-        if profiling {
-            self.profiler.exit();
-            self.profiler.enter("snapshot");
-        }
+    }
 
-        if record_metrics {
-            let policy = self
-                .manager
-                .as_ref()
-                .map(|m| m.policy_name())
-                .unwrap_or("none");
-            for charge in &outcome.charges {
-                let i = charge.vm.index();
-                let row = &mut rows[i];
-                row.reso_balance = charge.remaining.as_f64();
-                row.remaining_fraction = charge.remaining_fraction;
-                row.congestion_price = charge.io_rate;
-                row.io_charged = charge.io.as_f64();
-                row.cpu_charged = charge.cpu.as_f64();
-                let name = self.cfg.vms[i].name.clone();
-                self.registry.gauge_set(
-                    subsystem::RESEX_MANAGER,
-                    &name,
-                    "reso_balance",
-                    charge.remaining.as_f64(),
-                );
-                self.registry.gauge_set(
-                    subsystem::RESEX_MANAGER,
-                    &name,
-                    "congestion_price",
-                    charge.io_rate,
-                );
-            }
-            for action in &outcome.actions {
-                let ManagerAction::SetCap { vm, cap_pct } = *action;
-                rows[vm.index()].action = format!("set_cap:{cap_pct}");
-                self.registry.counter_add(
-                    subsystem::RESEX_MANAGER,
-                    &self.cfg.vms[vm.index()].name,
-                    "cap_changes",
-                    1,
-                );
-            }
-            let queue_depth = self.fabric.egress_backlog(self.node_srv).unwrap_or(0);
-            for (i, row) in rows.iter_mut().enumerate() {
-                row.cap_pct = self.hv.cap(self.vms[i].dom).unwrap_or(0);
-                row.queue_depth = queue_depth;
-                row.policy = policy.to_string();
-                if row.action.is_empty() {
-                    row.action = "none".to_string();
-                }
-            }
-            self.snapshots.append(&mut rows);
+    /// The snapshot phase: completes this interval's metrics rows with
+    /// charges, actions and caps, and appends them to the run's stream.
+    /// A no-op unless metrics are recorded.
+    fn interval_snapshot(&mut self, outcome: &IntervalOutcome, mut rows: Vec<IntervalSnapshot>) {
+        if !self.cfg.obs.metrics {
+            return;
         }
-        if profiling {
-            self.profiler.exit();
+        let policy = self
+            .manager
+            .as_ref()
+            .map(|m| m.policy_name())
+            .unwrap_or("none");
+        for charge in &outcome.charges {
+            let i = charge.vm.index();
+            let row = &mut rows[i];
+            row.reso_balance = charge.remaining.as_f64();
+            row.remaining_fraction = charge.remaining_fraction;
+            row.congestion_price = charge.io_rate;
+            row.io_charged = charge.io.as_f64();
+            row.cpu_charged = charge.cpu.as_f64();
         }
-        self.interval_count += 1;
-        // Hardening: a jittered manager samples each next interval in
-        // [1 - frac/2, 1 + frac/2]× the nominal cadence, so an attacker
-        // cannot phase-lock bursts to the charging boundary. Legacy
-        // (frac = 0) runs take the `None` arm and draw nothing.
-        let next = match &mut self.jitter_rng {
-            Some(rng) => {
-                let frac = self.cfg.resex.interval_jitter_frac;
-                interval.mul_f64(1.0 + frac * (rng.next_f64() - 0.5))
+        for action in &outcome.actions {
+            let ManagerAction::SetCap { vm, cap_pct } = *action;
+            rows[vm.index()].action = format!("set_cap:{cap_pct}");
+        }
+        let queue_depth = self.fabric.egress_backlog(self.node_srv).unwrap_or(0);
+        for (i, row) in rows.iter_mut().enumerate() {
+            row.cap_pct = self.hv.cap(self.vms[i].dom).unwrap_or(0);
+            row.queue_depth = queue_depth;
+            row.policy = policy.to_string();
+            if row.action.is_empty() {
+                row.action = "none".to_string();
             }
-            None => interval,
-        };
-        self.queue.schedule_at(t + next, Ev::ResExInterval);
+        }
+        self.snapshots.append(&mut rows);
     }
 }
 

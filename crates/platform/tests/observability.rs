@@ -68,11 +68,28 @@ fn observation_does_not_perturb_the_run() {
         observed.events_processed,
         baseline.events_processed
     );
-    for (b, o) in baseline.rows().iter().zip(observed.rows().iter()) {
-        assert_eq!(b.vm, o.vm);
-        assert_eq!(b.requests, o.requests);
-        assert_eq!(b.mean_us.to_bits(), o.mean_us.to_bits());
-        assert_eq!(b.p99_us.to_bits(), o.p99_us.to_bits());
+    // Metrics alone record no trace events, so they keep the fast path:
+    // the same events as the unobserved run, and the same rows, byte for
+    // byte, as the traced run.
+    let mut metrics_cfg = observed_cfg();
+    metrics_cfg.obs.trace = false;
+    let (metrics_only, metrics_out) = run_scenario_observed(metrics_cfg);
+    assert!(metrics_out.trace_json.is_none());
+    assert_eq!(
+        metrics_only.events_processed, baseline.events_processed,
+        "metrics-only run left the fast path"
+    );
+    assert_eq!(
+        metrics_out.metrics_jsonl, out.metrics_jsonl,
+        "metrics rows depend on whether tracing is on"
+    );
+    for run in [&observed, &metrics_only] {
+        for (b, o) in baseline.rows().iter().zip(run.rows().iter()) {
+            assert_eq!(b.vm, o.vm);
+            assert_eq!(b.requests, o.requests);
+            assert_eq!(b.mean_us.to_bits(), o.mean_us.to_bits());
+            assert_eq!(b.p99_us.to_bits(), o.p99_us.to_bits());
+        }
     }
 }
 
@@ -99,15 +116,25 @@ fn profiling_does_not_perturb_the_run() {
         assert_eq!(b.p99_us.to_bits(), p.p99_us.to_bits());
     }
 
-    // And the profile itself is populated and self-consistent: one
-    // observation per dispatched event, frames for the event types and
-    // the ResEx phase breakdown.
+    // And the profile itself is populated and self-consistent: one root
+    // frame per dispatched event, and every chain the benchmark reads.
     assert_eq!(profile.events, prof_run.events_processed);
-    assert!(!profile.frames.is_empty());
-    assert!(profile.event_types().count() >= 3, "several event types");
-    for chain in ["FabricSync", "HvSync", "ResExInterval;policy"] {
+    let root_calls: u64 = profile.event_types().map(|(_, f)| f.calls).sum();
+    assert_eq!(root_calls, profile.events, "one root frame per event");
+    for chain in [
+        "FabricSync",
+        "ClientTimer",
+        "ResExInterval",
+        "FabricSync;fabric.advance",
+        "FabricSync;RecvComplete",
+        "HvSync;hv.advance",
+        "HvSync;JobDone",
+        "ResExInterval;telemetry",
+        "ResExInterval;policy",
+        "ResExInterval;actuate",
+    ] {
         assert!(
-            profile.frames.contains_key(chain),
+            profile.frames.get(chain).is_some_and(|f| f.calls > 0),
             "missing frame {chain}: {:?}",
             profile.frames.keys().collect::<Vec<_>>()
         );
@@ -181,7 +208,6 @@ fn disabled_observability_returns_no_output() {
     let (_, out) = run_scenario_observed(cfg);
     assert!(out.trace_json.is_none());
     assert!(out.metrics_jsonl.is_none());
-    assert!(out.summary.is_empty());
 }
 
 #[test]
@@ -267,15 +293,4 @@ fn metrics_rows_line_up_the_causal_chain() {
         (fabric - ibmon).abs() / fabric < 0.05,
         "IBMon estimate drifted"
     );
-    // Registry summary is present and deterministically ordered.
-    assert!(!out.summary.is_empty());
-    let keys: Vec<_> = out
-        .summary
-        .iter()
-        .map(|s| (s.subsystem.clone(), s.entity.clone(), s.name.clone()))
-        .collect();
-    let mut sorted = keys.clone();
-    sorted.sort();
-    // Samples are grouped by kind, each group key-ordered.
-    assert_eq!(keys.len(), sorted.len());
 }

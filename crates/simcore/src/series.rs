@@ -181,41 +181,6 @@ impl WindowedRate {
     pub fn lifetime_count(&self) -> u64 {
         self.lifetime
     }
-
-    /// Merges another estimator into this one by interleaving the two
-    /// timestamped event streams in time order. Rate and count queries
-    /// after the merge see the union of both streams, so the result is
-    /// independent of merge order.
-    ///
-    /// # Panics
-    /// If the window lengths differ.
-    pub fn merge(&mut self, other: &WindowedRate) {
-        assert!(
-            self.window == other.window,
-            "window mismatch: {:?} vs {:?}",
-            self.window,
-            other.window
-        );
-        let mine = std::mem::take(&mut self.events);
-        let mut a = mine.into_iter().peekable();
-        let mut b = other.events.iter().copied().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&(ta, _)), Some(&(tb, _))) => {
-                    if ta <= tb {
-                        self.events.push_back(a.next().unwrap());
-                    } else {
-                        self.events.push_back(b.next().unwrap());
-                    }
-                }
-                (Some(_), None) => self.events.push_back(a.next().unwrap()),
-                (None, Some(_)) => self.events.push_back(b.next().unwrap()),
-                (None, None) => break,
-            }
-        }
-        self.in_window += other.in_window;
-        self.lifetime += other.lifetime;
-    }
 }
 
 #[cfg(test)]
@@ -303,33 +268,6 @@ mod tests {
         // At t=1.5s, the t=0 batch is outside the (0.5s, 1.5s] window.
         assert_eq!(w.count_in_window(ms(1500)), 50);
         assert_eq!(w.lifetime_count(), 150);
-    }
-
-    #[test]
-    fn windowed_rate_merge_is_order_independent() {
-        let mk = |ts: &[(u64, u64)]| {
-            let mut w = WindowedRate::new(SimDuration::from_secs(1));
-            for &(t, c) in ts {
-                w.record(ms(t), c);
-            }
-            w
-        };
-        let mut ab = mk(&[(100, 5), (700, 7)]);
-        ab.merge(&mk(&[(400, 3), (900, 2)]));
-        let mut ba = mk(&[(400, 3), (900, 2)]);
-        ba.merge(&mk(&[(100, 5), (700, 7)]));
-        assert_eq!(ab.lifetime_count(), 17);
-        assert_eq!(ab.lifetime_count(), ba.lifetime_count());
-        assert_eq!(ab.count_in_window(ms(1000)), ba.count_in_window(ms(1000)));
-        // Eviction still works on the interleaved stream.
-        assert_eq!(ab.count_in_window(ms(1500)), 7 + 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn windowed_rate_merge_rejects_window_mismatch() {
-        let mut a = WindowedRate::new(SimDuration::from_secs(1));
-        a.merge(&WindowedRate::new(SimDuration::from_secs(2)));
     }
 
     #[test]

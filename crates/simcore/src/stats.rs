@@ -106,46 +106,6 @@ impl OnlineStats {
         self.max
     }
 
-    /// Raw second central moment (Welford's `M2`). Exposed so external
-    /// codecs can round-trip the accumulator bit-exactly.
-    pub fn m2(&self) -> f64 {
-        self.m2
-    }
-
-    /// Reconstructs an accumulator from its raw parts — the inverse of
-    /// reading `count`/`mean`/`m2`/`min`/`max`. Used by byte-stable
-    /// histogram encodings; feeding back unmodified parts reproduces the
-    /// original state bit-exactly.
-    pub fn from_parts(n: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        OnlineStats {
-            n,
-            mean,
-            m2,
-            min,
-            max,
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Resets to empty.
     pub fn clear(&mut self) {
         *self = OnlineStats::new();
@@ -154,14 +114,13 @@ impl OnlineStats {
 
 /// A log-linear histogram: buckets double in width every `sub_buckets`
 /// buckets, giving a bounded relative error of `1/sub_buckets` across the
-/// whole dynamic range — the same idea as HdrHistogram, sized for latency
+/// whole dynamic range — the same idea as an HDR histogram, sized for latency
 /// values in nanoseconds.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Histogram {
     sub_buckets: u32,
     counts: Vec<u64>,
     total: u64,
-    underflow: u64,
     stats: OnlineStats,
 }
 
@@ -178,7 +137,6 @@ impl Histogram {
             // 64 octaves cover the full u64 range.
             counts: vec![0; (64 * sub_buckets) as usize],
             total: 0,
-            underflow: 0,
             stats: OnlineStats::new(),
         }
     }
@@ -186,33 +144,6 @@ impl Histogram {
     /// Creates a histogram with the default resolution (32 sub-buckets).
     pub fn with_default_resolution() -> Self {
         Histogram::new(32)
-    }
-
-    /// Sub-bucket resolution (per octave) this histogram was built with.
-    pub fn sub_buckets(&self) -> u32 {
-        self.sub_buckets
-    }
-
-    /// Number of recorded zero values (kept separately for codecs).
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// The exact running statistics over every recorded value.
-    pub fn stats(&self) -> &OnlineStats {
-        &self.stats
-    }
-
-    /// Iterates non-empty buckets as `(bucket_index, count)` pairs, in
-    /// index (= value) order. The index form — unlike
-    /// [`Histogram::iter_buckets`] — is lossless, so a codec can rebuild
-    /// the exact bucket array via [`Histogram::from_parts`].
-    pub fn iter_indexed(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
     }
 
     /// The half-open bucket interval `[low, high)` that contains `v`.
@@ -223,30 +154,6 @@ impl Histogram {
     pub fn bucket_bounds(&self, v: u64) -> (u64, u64) {
         let idx = self.bucket_index(v);
         (self.bucket_low(idx), self.bucket_low(idx + 1))
-    }
-
-    /// Rebuilds a histogram from the parts exposed by
-    /// [`Histogram::iter_indexed`] / [`Histogram::underflow`] /
-    /// [`Histogram::stats`]. Total count is recomputed from the buckets.
-    ///
-    /// # Panics
-    /// If `sub_buckets` is not a power of two or a bucket index is out of
-    /// range for that resolution.
-    pub fn from_parts(
-        sub_buckets: u32,
-        buckets: impl IntoIterator<Item = (usize, u64)>,
-        underflow: u64,
-        stats: OnlineStats,
-    ) -> Self {
-        let mut h = Histogram::new(sub_buckets);
-        for (idx, count) in buckets {
-            assert!(idx < h.counts.len(), "bucket index {idx} out of range");
-            h.counts[idx] += count;
-            h.total += count;
-        }
-        h.underflow = underflow;
-        h.stats = stats;
-        h
     }
 
     fn bucket_index(&self, v: u64) -> usize {
@@ -277,9 +184,6 @@ impl Histogram {
         self.counts[idx] += 1;
         self.total += 1;
         self.stats.push(v as f64);
-        if v == 0 {
-            self.underflow += 1;
-        }
     }
 
     /// Number of recorded values.
@@ -362,25 +266,10 @@ impl Histogram {
             .collect()
     }
 
-    /// Merges another histogram with the same resolution.
-    ///
-    /// # Panics
-    /// If resolutions differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.sub_buckets, other.sub_buckets, "resolution mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.underflow += other.underflow;
-        self.stats.merge(&other.stats);
-    }
-
     /// Resets all counts.
     pub fn clear(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
         self.total = 0;
-        self.underflow = 0;
         self.stats.clear();
     }
 }
@@ -455,33 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * 7 % 13) as f64).collect();
-        let mut whole = OnlineStats::new();
-        xs.iter().for_each(|&x| whole.push(x));
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        xs[..37].iter().for_each(|&x| left.push(x));
-        xs[37..].iter().for_each(|&x| right.push(x));
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.population_variance() - whole.population_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(5.0);
-        let before = a.mean();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.mean(), before);
-        let mut e = OnlineStats::new();
-        e.merge(&a);
-        assert_eq!(e.mean(), before);
-    }
-
-    #[test]
     fn histogram_first_octave_is_exact() {
         let mut h = Histogram::new(32);
         for v in 0..32 {
@@ -518,6 +380,13 @@ mod tests {
         assert!((p99 as f64 - 9_900.0).abs() / 9_900.0 < 0.05, "p99={p99}");
         assert_eq!(h.quantile(0.0), h.quantile(1e-9));
         assert!(h.quantile(1.0) <= h.max());
+        // The reported percentile set is ordered, and p99 is exactly the
+        // low edge of the bucket holding the exact p99 (9_900).
+        let (p90, p999) = (h.quantile(0.9), h.quantile(0.999));
+        assert!(p50 <= p90 && p90 <= p99 && p99 <= p999);
+        let (lo, hi) = h.bucket_bounds(9_900);
+        assert!(lo <= 9_900 && 9_900 < hi);
+        assert_eq!(p99, lo);
     }
 
     #[test]
@@ -540,12 +409,10 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_and_clear() {
+    fn histogram_clear_resets() {
         let mut a = Histogram::new(32);
-        let mut b = Histogram::new(32);
         a.record(10);
-        b.record(20);
-        a.merge(&b);
+        a.record(20);
         assert_eq!(a.count(), 2);
         assert_eq!(a.max(), 20);
         a.clear();
@@ -565,43 +432,6 @@ mod tests {
         assert_eq!(total, 6);
         // 150 and 155 land in the second bin [150, 200).
         assert_eq!(bins[1].1, 2);
-    }
-
-    #[test]
-    fn stats_from_parts_round_trips_bit_exactly() {
-        let mut s = OnlineStats::new();
-        for x in [3.0, 1.0, 4.0, 1.0, 5.0] {
-            s.push(x);
-        }
-        let r = OnlineStats::from_parts(s.count(), s.mean(), s.m2(), s.min(), s.max());
-        assert_eq!(r.count(), s.count());
-        assert_eq!(r.mean().to_bits(), s.mean().to_bits());
-        assert_eq!(r.m2().to_bits(), s.m2().to_bits());
-        assert_eq!(r.min().to_bits(), s.min().to_bits());
-        assert_eq!(r.max().to_bits(), s.max().to_bits());
-        // Empty accumulators round-trip too (±inf extremes included).
-        let e = OnlineStats::new();
-        let r = OnlineStats::from_parts(e.count(), 0.0, 0.0, e.min(), e.max());
-        assert_eq!(r.min(), f64::INFINITY);
-        assert_eq!(r.max(), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn histogram_from_parts_round_trips() {
-        let mut h = Histogram::new(32);
-        for v in [0u64, 1, 31, 32, 209_000, 1_000_000, u64::MAX / 3] {
-            h.record(v);
-        }
-        let r = Histogram::from_parts(h.sub_buckets(), h.iter_indexed(), h.underflow(), *h.stats());
-        assert_eq!(r.count(), h.count());
-        assert_eq!(r.underflow(), h.underflow());
-        assert_eq!(r.quantile(0.5), h.quantile(0.5));
-        assert_eq!(r.quantile(0.99), h.quantile(0.99));
-        assert_eq!(
-            r.iter_indexed().collect::<Vec<_>>(),
-            h.iter_indexed().collect::<Vec<_>>()
-        );
-        assert_eq!(r.mean().to_bits(), h.mean().to_bits());
     }
 
     #[test]

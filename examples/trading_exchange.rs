@@ -82,7 +82,7 @@ fn main() {
     let sla = BASE_LATENCY_US * 1.1;
     let engine = run.vm("64KB").expect("matching engine");
     let (checked, violations) = engine.slo_stats().expect("SLO monitor armed");
-    let pct = engine.histogram.percentiles();
+    let pct_us = |q: f64| engine.histogram.quantile(q) as f64 / 1000.0;
     println!(
         "\nmatching-engine SLA ({sla:.0} µs): {} of {} requests over ({:.2}%)",
         violations,
@@ -91,9 +91,9 @@ fn main() {
     );
     println!(
         "latency percentiles: p50={:.0}µs p90={:.0}µs p99={:.0}µs p99.9={:.0}µs",
-        pct.p50 as f64 / 1000.0,
-        pct.p90 as f64 / 1000.0,
-        pct.p99 as f64 / 1000.0,
-        pct.p999 as f64 / 1000.0
+        pct_us(0.50),
+        pct_us(0.90),
+        pct_us(0.99),
+        pct_us(0.999)
     );
 }
