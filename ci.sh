@@ -4,8 +4,8 @@
 # Usage: ./ci.sh [--quick]
 #   --quick  fast tier: fmt/clippy/build/test plus the byte-identity gates
 #            (thread-count, profiler zero-perturbation, sharded-calendar,
-#            committed fig9 baseline, per-target figure, trace and metrics
-#            digests). Minutes, suitable for every push.
+#            committed fig9 baseline, per-target figure, trace, metrics
+#            and faulted-fig9 digests). Minutes, suitable for every push.
 #   (bare)   full tier: the quick tier plus fault/adversary/crash soaks,
 #            the chaos explorer, the sweep + rack scaling measurements and
 #            their BENCH_*.json artifacts, and the perf-regression gate.
@@ -49,6 +49,11 @@ if [ "$PAR_THREADS" -lt 4 ]; then PAR_THREADS=4; fi
 CORES=$(nproc)
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
+# The fault specs of the faulted-run gates: digested in both tiers, and
+# soaked for determinism, recovery and Reso conservation in the full tier.
+FAULTS="loss=0.01,corrupt=0.002,skip=0.02,capfail=0.02,seed=7"
+SOAK="loss=0.01,flap_ms=50,flap_down_us=2000,seed=7"
+CRASH="mgr_crash=0.01,mgr_down_ms=20,host_crash=0.002,host_down_ms=10,vm_crash=0.01,vm_down_ms=5,seed=7"
 
 echo "==> determinism gate: fig9 --quick JSON, RESEX_THREADS=1 vs $PAR_THREADS"
 RESEX_THREADS=1 "$REPRO" fig9 --quick --json "$TMP/fig9_seq.json" >/dev/null 2>&1
@@ -85,7 +90,7 @@ echo "==> adversary-off/crash-off byte-identity gate: fig9 --quick vs committed 
 cmp tests/baselines/fig9_quick.json "$TMP/fig9_seq.json"
 echo "    byte-identical to tests/baselines/fig9_quick.json"
 
-echo "==> figure-digest gate: every repro target, trace and metrics vs tests/baselines/quick_digests.txt"
+echo "==> figure-digest gate: every repro target, trace, metrics and faulted fig9 run vs tests/baselines/quick_digests.txt"
 # The behavioural contract is every byte `repro` emits, not just fig9:
 # each target's JSON must hash to its committed digest. digest.py hashes
 # one canonical form per target, independent of any JSON printer's version.
@@ -93,30 +98,46 @@ echo "==> figure-digest gate: every repro target, trace and metrics vs tests/bas
 # this also extends the thread-count gate above to every target. The
 # observability outputs are guarded too: `trace` and `metrics` are the
 # sha256 of the raw bytes of fig9 --quick's --trace and --metrics files.
+# So are the faulted runs, where request timeouts, client retries and the
+# watchdogs act: `fig9_faults`, `fig9_soak` and `fig9_crash` are the digest.py
+# hashes of fig9 --quick under the full tier's FAULTS, SOAK and CRASH specs.
 # If this fails after an *intentional* output change, regenerate with:
 #   RESEX_THREADS=1 ./target/release/repro all --quick --json /tmp/all.json
 #   ./target/release/repro rack --quick --json /tmp/rack.json
 #   RESEX_THREADS=1 ./target/release/repro fig9 --quick --trace /tmp/t.json --metrics /tmp/m.jsonl
+#   RESEX_THREADS=1 ./target/release/repro fig9 --quick --faults "$FAULTS" --json /tmp/faults.json
+#   RESEX_THREADS=1 ./target/release/repro fig9 --quick --faults "$SOAK" --json /tmp/soak.json
+#   RESEX_THREADS=1 ./target/release/repro fig9 --quick --faults "$CRASH" --json /tmp/crash.json
 #   { python3 tests/baselines/digest.py /tmp/all.json /tmp/rack.json
 #     echo "trace $(sha256sum < /tmp/t.json | cut -d' ' -f1)"
 #     echo "metrics $(sha256sum < /tmp/m.jsonl | cut -d' ' -f1)"
+#     for leg in faults soak crash; do
+#       python3 tests/baselines/digest.py /tmp/$leg.json | sed "s/^fig9 /fig9_$leg /"
+#     done
 #   } > tests/baselines/quick_digests.txt
 RESEX_THREADS="$PAR_THREADS" "$REPRO" all --quick --json "$TMP/all.json" >/dev/null 2>&1
 "$REPRO" rack --quick --json "$TMP/rack.json" >/dev/null 2>&1
 RESEX_THREADS=1 "$REPRO" fig9 --quick --trace "$TMP/trace.json" --metrics "$TMP/metrics.jsonl" >/dev/null 2>&1
+RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$FAULTS" --json "$TMP/faults.json" >/dev/null 2>&1
+RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$SOAK" --json "$TMP/soak.json" >/dev/null 2>&1
+RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$CRASH" --json "$TMP/crash.json" >/dev/null 2>&1
 {
     python3 tests/baselines/digest.py "$TMP/all.json" "$TMP/rack.json"
     echo "trace $(sha256sum < "$TMP/trace.json" | cut -d' ' -f1)"
     echo "metrics $(sha256sum < "$TMP/metrics.jsonl" | cut -d' ' -f1)"
+    for leg in faults soak crash; do
+        python3 tests/baselines/digest.py "$TMP/$leg.json" | sed "s/^fig9 /fig9_$leg /"
+    done
 } > "$TMP/digests.txt"
 MOVED=""
-for t in fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ablation hw_qos scaling rack trace metrics; do
+for t in fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 ablation hw_qos scaling rack trace metrics \
+        fig9_faults fig9_soak fig9_crash; do
     got=$(awk -v t="$t" '$1 == t { print $2 }' "$TMP/digests.txt")
     want=$(awk -v t="$t" '$1 == t { print $2 }' tests/baselines/quick_digests.txt)
     [ -n "$got" ] && [ "$got" = "$want" ] || MOVED="$MOVED $t"
 done
 [ -z "$MOVED" ] || { echo "    FAIL: output moved for:$MOVED"; exit 1; }
-echo "    all 13 targets and the trace/metrics outputs match their committed digests"
+echo "    all 13 targets, the trace/metrics outputs and the faulted fig9 runs match their committed digests"
 
 if [ "$TIER" = quick ]; then
     echo "==> OK (quick tier; run bare ./ci.sh for soak/chaos/perf and BENCH artifacts)"
@@ -131,7 +152,6 @@ for seed in 1 2 3; do
 done
 
 echo "==> faulted-run determinism gate: same fault seed, byte-identical JSON"
-FAULTS="loss=0.01,corrupt=0.002,skip=0.02,capfail=0.02,seed=7"
 RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$FAULTS" \
     --json "$TMP/fig9_fault_a.json" >/dev/null 2>&1
 RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$FAULTS" \
@@ -144,7 +164,6 @@ echo "==> recovery soak gate: fig9 --quick under 1% loss + periodic link flaps"
 # permanently loses nothing (lost=0 on the printed recovery line, which
 # only appears when reconnect-with-replay actually happened), and is
 # byte-identical across two runs.
-SOAK="loss=0.01,flap_ms=50,flap_down_us=2000,seed=7"
 RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$SOAK" \
     --json "$TMP/fig9_soak_a.json" > "$TMP/fig9_soak_a.txt" 2>&1
 RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$SOAK" \
@@ -176,7 +195,6 @@ echo "==> crash soak gate: fig9 --quick under a manager/host/VM crash mix"
 # every failure domain completes, permanently loses nothing, conserves
 # Resos (journal_divergence=0 on the printed crashes line), and replays
 # byte-identically.
-CRASH="mgr_crash=0.01,mgr_down_ms=20,host_crash=0.002,host_down_ms=10,vm_crash=0.01,vm_down_ms=5,seed=7"
 RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$CRASH" \
     --json "$TMP/fig9_crash_a.json" > "$TMP/fig9_crash_a.txt" 2>&1
 RESEX_THREADS=1 "$REPRO" fig9 --quick --faults "$CRASH" \

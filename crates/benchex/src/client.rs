@@ -57,47 +57,6 @@ pub const REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(10);
 /// specified to survive.
 pub const REQUEST_RETRY_LIMIT: u32 = 16;
 
-/// Tunable client recovery knobs, hoisted from the old hardcoded
-/// constants so chaos schedules (and scenario files) can tighten or relax
-/// a client's patience. Defaults are exactly the historical constants, so
-/// an absent or default tuning block changes nothing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub struct ClientTuning {
-    /// How long the platform waits for a response before the request goes
-    /// back to [`Client::on_request_timeout`].
-    pub request_timeout: SimDuration,
-    /// Re-issue budget per request before it is declared permanently lost.
-    pub request_retry_limit: u32,
-}
-
-impl Default for ClientTuning {
-    fn default() -> Self {
-        ClientTuning {
-            request_timeout: REQUEST_TIMEOUT,
-            request_retry_limit: REQUEST_RETRY_LIMIT,
-        }
-    }
-}
-
-// Hand-written so omitted fields fall back to the historical constants
-// rather than zero (the vendored serde derive only supports bare
-// `#[serde(default)]`).
-impl Deserialize for ClientTuning {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("ClientTuning: expected object"))?;
-        let mut tuning = ClientTuning::default();
-        if let Some(x) = m.get("request_timeout") {
-            tuning.request_timeout = SimDuration::from_value(x)?;
-        }
-        if let Some(x) = m.get("request_retry_limit") {
-            tuning.request_retry_limit = u32::from_value(x)?;
-        }
-        Ok(tuning)
-    }
-}
-
 /// Outcome of a request timeout, decided by [`Client::on_request_timeout`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum RetryDecision {
@@ -129,7 +88,6 @@ pub struct Client {
     outstanding: u64,
     retries: u64,
     lost: u64,
-    retry_limit: u32,
     /// Round-trip latencies in nanoseconds.
     pub rtt: Histogram,
 }
@@ -149,15 +107,8 @@ impl Client {
             outstanding: 0,
             retries: 0,
             lost: 0,
-            retry_limit: REQUEST_RETRY_LIMIT,
             rtt: Histogram::with_default_resolution(),
         }
-    }
-
-    /// Overrides the per-request re-issue budget (defaults to
-    /// [`REQUEST_RETRY_LIMIT`]).
-    pub fn set_retry_limit(&mut self, limit: u32) {
-        self.retry_limit = limit;
     }
 
     /// Requests sent so far.
@@ -242,7 +193,7 @@ impl Client {
         attempts: u32,
         now: SimTime,
     ) -> RetryDecision {
-        if attempts < self.retry_limit {
+        if attempts < REQUEST_RETRY_LIMIT {
             self.retries += 1;
             RetryDecision::Retry(req)
         } else {
@@ -377,22 +328,7 @@ mod tests {
     }
 
     #[test]
-    fn tuning_defaults_pin_the_historical_constants() {
-        let t = ClientTuning::default();
-        assert_eq!(t.request_timeout, SimDuration::from_millis(10));
-        assert_eq!(t.request_retry_limit, 16);
-        assert_eq!(t.request_timeout, REQUEST_TIMEOUT);
-        assert_eq!(t.request_retry_limit, REQUEST_RETRY_LIMIT);
-        // An empty object deserializes to the same defaults.
-        let parsed: ClientTuning = serde_json::from_str("{}").unwrap();
-        assert_eq!(parsed, t);
-        let parsed: ClientTuning = serde_json::from_str(r#"{"request_retry_limit": 3}"#).unwrap();
-        assert_eq!(parsed.request_retry_limit, 3);
-        assert_eq!(parsed.request_timeout, REQUEST_TIMEOUT);
-    }
-
-    #[test]
-    fn retry_limit_override_changes_the_give_up_point() {
+    fn gives_up_at_the_retry_limit() {
         let mut c = Client::new(
             1,
             ClientMode::ClosedLoop {
@@ -401,17 +337,16 @@ mod tests {
             trace(),
             7,
         );
-        c.set_retry_limit(2);
         let req = match c.start(us(0)) {
             ClientAction::Send(r) => r,
             _ => panic!(),
         };
         assert!(matches!(
-            c.on_request_timeout(req, 1, us(100)),
+            c.on_request_timeout(req, REQUEST_RETRY_LIMIT - 1, us(100)),
             RetryDecision::Retry(_)
         ));
         assert!(matches!(
-            c.on_request_timeout(req, 2, us(200)),
+            c.on_request_timeout(req, REQUEST_RETRY_LIMIT, us(200)),
             RetryDecision::GiveUp(_)
         ));
         assert_eq!(c.lost(), 1);

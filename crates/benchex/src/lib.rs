@@ -21,10 +21,9 @@ pub mod request;
 pub mod server;
 pub mod trace;
 
-pub use agent::{AgentConfig, LatencyReport, ReportingAgent};
+pub use agent::{LatencyReport, ReportingAgent};
 pub use client::{
-    Client, ClientAction, ClientMode, ClientTuning, RetryDecision, REQUEST_RETRY_LIMIT,
-    REQUEST_TIMEOUT,
+    Client, ClientAction, ClientMode, RetryDecision, REQUEST_RETRY_LIMIT, REQUEST_TIMEOUT,
 };
 pub use latency::{LatencyRecord, LatencySummary, LatencyWindow};
 pub use request::{

@@ -3,6 +3,22 @@
 use resex_simcore::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
+/// Hardened runs jitter each charging interval's sampling instant
+/// uniformly within `±INTERVAL_JITTER_FRAC / 2` of the nominal interval.
+pub const INTERVAL_JITTER_FRAC: f64 = 0.3;
+
+/// Consecutive stale IBMon intervals after which the manager stops
+/// trusting the decayed last-known rate and fails safe: cap to
+/// `min_cap_pct`, basis zeroed, streak reset. Past ~8 dark intervals the
+/// decayed estimate is mostly noise (0.85^8 ≈ 0.27 of the last fresh
+/// rate); long enough that the ordinary one-to-three-interval stale blips
+/// the fault plane injects never trip it.
+pub const WATCHDOG_STALE_INTERVALS: u32 = 8;
+
+/// Consecutive failed cap actuations on one domain after which the
+/// platform escalates to the slow-but-reliable privileged reset path.
+pub const WATCHDOG_ACTUATION_FAILURES: u32 = 5;
+
 /// What happens to a VM's CPU cap once its Reso balance runs low — the
 /// paper uses the gradual walk-down and notes "there are multiple ways in
 /// order to reduce the CPU when the VM runs out of Resos"; these are the
@@ -57,52 +73,27 @@ pub struct ResExConfig {
     /// How budget-style policies (FreeMarket, DemandPricing) throttle a VM
     /// whose balance runs low.
     pub depletion: DepletionMode,
-    /// Watchdog: consecutive stale IBMon intervals after which the manager
-    /// stops trusting the decayed last-known rate and fails safe — cap to
-    /// `min_cap_pct`, basis zeroed, streak reset — instead of decaying
-    /// prices forever. 0 disables the stale watchdog (also the value
-    /// configs serialized before this knob existed deserialize to).
+    /// Adversary hardening, one switch for every measure (off by
+    /// default, and in scenario files that predate it):
+    /// - phase-locked bursts: the platform jitters each charging interval
+    ///   within ±[`INTERVAL_JITTER_FRAC`]/2 of nominal, so an attacker who
+    ///   times bursts to the interval tail cannot predict when the next
+    ///   sample lands;
+    /// - telemetry poisoning: the platform cross-checks IBMon's ring-scan
+    ///   MTU estimate against the fabric's per-QP completion counters and
+    ///   substitutes the counter value when the scan under-reports by more
+    ///   than 2× (ring-wrap aliasing bias);
+    /// - collusion (the *group clamp*): IOShares tracks per-VM activity
+    ///   EWMAs and co-indicts every non-SLA VM within half of the top
+    ///   interferer's activity, so a group that alternates bursts cannot
+    ///   rotate blame;
+    /// - free-riding: epoch replenishment carries overdrafts forward
+    ///   (`remaining = alloc + min(remaining, 0)`), and FreeMarket's *hard
+    ///   floor* throttles any fully depleted VM however little of the
+    ///   epoch is left and keeps VMs still in debt throttled across the
+    ///   epoch boundary.
     #[serde(default)]
-    pub watchdog_stale_intervals: u32,
-    /// Watchdog: consecutive failed cap actuations on one domain after
-    /// which the platform escalates to the slow-but-reliable privileged
-    /// reset path. 0 disables the actuation watchdog.
-    #[serde(default)]
-    pub watchdog_actuation_failures: u32,
-    /// Hardening vs phase-locked bursts: fraction of the charging interval
-    /// by which the platform jitters each interval's sampling instant
-    /// (uniform in `±frac/2`, drawn from a dedicated seeded stream). An
-    /// attacker who times bursts to the interval tail can no longer predict
-    /// when the next sample lands. 0 (the default, and what older configs
-    /// deserialize to) keeps the legacy fixed-phase cadence byte-identical.
-    #[serde(default)]
-    pub interval_jitter_frac: f64,
-    /// Hardening vs telemetry poisoning: cross-check IBMon's ring-scan MTU
-    /// estimate against the fabric's per-QP completion counters each
-    /// interval and substitute the counter-derived value when the scan
-    /// under-reports by more than 2× (ring-wrap aliasing bias). Off by
-    /// default for byte-identity with pre-hardening runs.
-    #[serde(default)]
-    pub ibmon_crosscheck: bool,
-    /// Hardening vs collusion: IOShares tracks per-VM activity EWMAs and
-    /// co-indicts every non-SLA VM whose smoothed activity is within half
-    /// of the top interferer's, so a group that alternates bursts cannot
-    /// rotate blame and buy more than its aggregate share. Off by default.
-    #[serde(default)]
-    pub group_clamp: bool,
-    /// Hardening vs free-riding: epoch replenishment carries overdrafts
-    /// forward (`remaining = alloc + min(remaining, 0)`) instead of
-    /// forgiving them, so spend-to-zero does not reset to full priority at
-    /// the next epoch. Off by default (the paper forgives overdrafts).
-    #[serde(default)]
-    pub debt_carryover: bool,
-    /// Hardening vs free-riding: FreeMarket throttles any fully-depleted
-    /// (≤ 0 remaining) VM regardless of how much of the epoch is left, and
-    /// epoch restores skip VMs still in debt — closing the epoch-tail
-    /// throttle-free window the spend-to-zero attacker coasts through.
-    /// Off by default.
-    #[serde(default)]
-    pub hard_floor: bool,
+    pub hardened: bool,
 }
 
 impl Default for ResExConfig {
@@ -119,17 +110,7 @@ impl Default for ResExConfig {
             sla_threshold_pct: 10.0,
             rate_decay: 0.85,
             depletion: DepletionMode::Gradual,
-            // Past ~8 dark intervals the decayed estimate is mostly noise
-            // (0.85^8 ≈ 0.27 of the last fresh rate); long enough that the
-            // ordinary one-to-three-interval stale blips the fault plane
-            // injects never trip it.
-            watchdog_stale_intervals: 8,
-            watchdog_actuation_failures: 5,
-            interval_jitter_frac: 0.0,
-            ibmon_crosscheck: false,
-            group_clamp: false,
-            debt_carryover: false,
-            hard_floor: false,
+            hardened: false,
         }
     }
 }
@@ -138,20 +119,6 @@ impl ResExConfig {
     /// Charging intervals per epoch.
     pub fn intervals_per_epoch(&self) -> u64 {
         (self.epoch.as_nanos() / self.interval.as_nanos()).max(1)
-    }
-
-    /// The paper's defaults with every adversary-hardening measure switched
-    /// on: phase-jittered sampling, IBMon/fabric cross-checking, colluding
-    /// group clamping, overdraft carryover, and the hard depletion floor.
-    pub fn hardened() -> Self {
-        ResExConfig {
-            interval_jitter_frac: 0.3,
-            ibmon_crosscheck: true,
-            group_clamp: true,
-            debt_carryover: true,
-            hard_floor: true,
-            ..Default::default()
-        }
     }
 
     /// Validates internal consistency.
@@ -171,9 +138,6 @@ impl ResExConfig {
         if self.min_cap_pct == 0 || self.min_cap_pct > 100 {
             return Err("min_cap_pct must be in 1..=100".into());
         }
-        if !(0.0..1.0).contains(&self.interval_jitter_frac) {
-            return Err("interval_jitter_frac must be in [0,1)".into());
-        }
         Ok(())
     }
 }
@@ -188,6 +152,7 @@ mod tests {
         assert_eq!(c.intervals_per_epoch(), 1000);
         assert_eq!(c.cpu_resos_per_epoch, 100_000);
         assert_eq!(c.io_resos_per_epoch, 1_048_576);
+        assert!(!c.hardened, "hardening is opt-in");
         assert!(c.validate().is_ok());
     }
 
@@ -208,33 +173,5 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
-        let c = ResExConfig {
-            interval_jitter_frac: 1.0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err(), "full-interval jitter is rejected");
-    }
-
-    #[test]
-    fn watchdog_defaults_pin_the_historical_constants() {
-        // These were hardcoded (K=8 stale intervals, M=5 actuation
-        // failures) before they became config knobs; the defaults must
-        // keep existing runs byte-identical.
-        let c = ResExConfig::default();
-        assert_eq!(c.watchdog_stale_intervals, 8);
-        assert_eq!(c.watchdog_actuation_failures, 5);
-    }
-
-    #[test]
-    fn hardened_preset_enables_every_measure_and_validates() {
-        let c = ResExConfig::hardened();
-        assert!(c.interval_jitter_frac > 0.0);
-        assert!(c.ibmon_crosscheck && c.group_clamp && c.debt_carryover && c.hard_floor);
-        assert!(c.validate().is_ok());
-        // The hardening knobs default off so pre-hardening configs (and
-        // byte-identity baselines) are unaffected.
-        let d = ResExConfig::default();
-        assert_eq!(d.interval_jitter_frac, 0.0);
-        assert!(!d.ibmon_crosscheck && !d.group_clamp && !d.debt_carryover && !d.hard_floor);
     }
 }

@@ -81,7 +81,7 @@ impl PricingPolicy for FreeMarket {
             // floor a VM that replenished straight back into debt (carried
             // overdraft) keeps its pre-epoch throttle instead.
             if let Some(prev) = self.restore.remove(&vm) {
-                let still_depleted = ctx.cfg.hard_floor
+                let still_depleted = ctx.cfg.hardened
                     && account.is_some_and(|a| a.total_remaining() <= crate::resos::Resos::ZERO);
                 if still_depleted {
                     self.caps.insert(vm, prev);
@@ -99,7 +99,7 @@ impl PricingPolicy for FreeMarket {
                 // through: the hard floor keeps throttling fully-depleted
                 // VMs no matter how little of the epoch remains.
                 let exhausted =
-                    ctx.cfg.hard_floor && acct.total_remaining() <= crate::resos::Resos::ZERO;
+                    ctx.cfg.hardened && acct.total_remaining() <= crate::resos::Resos::ZERO;
                 if low && (epoch_left || exhausted) {
                     // "The CPU is decremented by 10% from its earlier
                     // allocated value" — or an alternative depletion mode
@@ -227,7 +227,7 @@ mod tests {
         interval: u64,
     ) -> Vec<VmVerdict> {
         let cfg = ResExConfig {
-            hard_floor: true,
+            hardened: true,
             ..Default::default()
         };
         let vms = ctx_vms();
@@ -257,7 +257,7 @@ mod tests {
         assert_eq!(v[0].cap_pct, Some(90), "depleted VMs throttle even late");
         // A merely-low (but positive) balance keeps the paper's exemption.
         let cfg = ResExConfig {
-            hard_floor: true,
+            hardened: true,
             ..Default::default()
         };
         let vms = ctx_vms();

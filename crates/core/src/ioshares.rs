@@ -168,7 +168,7 @@ impl PricingPolicy for IoShares {
         let total_mtus = ctx.total_mtus();
         // Group-clamp hardening: fold this interval's traffic into the
         // smoothed per-VM activity before assigning blame.
-        if ctx.cfg.group_clamp {
+        if ctx.cfg.hardened {
             for &(vm, snap) in ctx.vms {
                 let e = self.activity.entry(vm).or_insert(0.0);
                 *e = ACTIVITY_ALPHA * snap.mtus as f64 + (1.0 - ACTIVITY_ALPHA) * *e;
@@ -184,7 +184,7 @@ impl PricingPolicy for IoShares {
             if intf_pct <= ctx.cfg.sla_threshold_pct {
                 continue;
             }
-            if ctx.cfg.group_clamp {
+            if ctx.cfg.hardened {
                 let total_activity: f64 = ctx
                     .vms
                     .iter()
@@ -217,7 +217,7 @@ impl PricingPolicy for IoShares {
         // so n colluders at rate r buy ~100/r in aggregate, the same as
         // one attacker pushing their combined traffic, not n×. VMs at the
         // base rate are untouched (honest co-active tenants keep 100).
-        let clamp_group: Vec<VmId> = if ctx.cfg.group_clamp {
+        let clamp_group: Vec<VmId> = if ctx.cfg.hardened {
             let group = self.find_group(ctx);
             if group.len() >= 2 {
                 group.into_iter().map(|(id, _)| id).collect()
@@ -553,7 +553,7 @@ mod collusion_tests {
     fn group_clamp_coindicts_alternating_bursters() {
         let legacy = ResExConfig::default();
         let clamped = ResExConfig {
-            group_clamp: true,
+            hardened: true,
             ..Default::default()
         };
         let mut unhardened = policy();
@@ -597,7 +597,7 @@ mod collusion_tests {
     fn group_clamp_leaves_honest_neighbours_alone() {
         // An idle bystander (EWMA stays 0) is never swept into the group.
         let clamped = ResExConfig {
-            group_clamp: true,
+            hardened: true,
             ..Default::default()
         };
         let mut p = policy();

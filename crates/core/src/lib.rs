@@ -31,7 +31,10 @@ pub mod pricing;
 pub mod resos;
 
 pub use account::ResoAccount;
-pub use config::{DepletionMode, ResExConfig};
+pub use config::{
+    DepletionMode, ResExConfig, INTERVAL_JITTER_FRAC, WATCHDOG_ACTUATION_FAILURES,
+    WATCHDOG_STALE_INTERVALS,
+};
 pub use freemarket::FreeMarket;
 pub use ioshares::{IoShares, SlaTarget};
 pub use journal::{DecisionJournal, IntervalEntry, JournalRecord};

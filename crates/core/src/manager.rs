@@ -9,7 +9,7 @@
 //! weighted redistribution of the shared I/O pool — and notify the policy.
 
 use crate::account::ResoAccount;
-use crate::config::ResExConfig;
+use crate::config::{ResExConfig, WATCHDOG_STALE_INTERVALS};
 use crate::journal::{DecisionJournal, IntervalEntry, JournalRecord};
 use crate::pricing::{IntervalCtx, PricingPolicy, VmId, VmSnapshot};
 use crate::resos::Resos;
@@ -284,7 +284,7 @@ impl ResExManager {
         let shares: Vec<(VmId, Resos)> =
             self.vms.keys().map(|&vm| (vm, self.io_share(vm))).collect();
         let cpu = Resos::from_whole(self.cfg.cpu_resos_per_epoch);
-        let carry_debt = self.cfg.debt_carryover;
+        let carry_debt = self.cfg.hardened;
         for (vm, share) in shares {
             if let Some(st) = self.vms.get_mut(&vm) {
                 st.account.replenish_with(Some((cpu, share)), carry_debt);
@@ -348,8 +348,7 @@ impl ResExManager {
             };
             if snap.stale {
                 st.stale_streak += 1;
-                let k = self.cfg.watchdog_stale_intervals;
-                if k > 0 && st.stale_streak >= k {
+                if st.stale_streak >= WATCHDOG_STALE_INTERVALS {
                     // Watchdog: telemetry has been dark long enough that
                     // the decayed estimate is mostly noise. Fail safe
                     // instead of decaying prices forever: charge nothing
@@ -369,7 +368,7 @@ impl ResExManager {
                             "watchdog_stale_trip",
                             Scope::Vm(vm.raw()),
                             vec![
-                                ("streak", u64::from(k).into()),
+                                ("streak", u64::from(WATCHDOG_STALE_INTERVALS).into()),
                                 ("floor_cap_pct", u64::from(self.cfg.min_cap_pct).into()),
                             ],
                         );
@@ -687,7 +686,7 @@ mod tests {
     #[test]
     fn stale_watchdog_trips_to_the_floor_and_reprobes() {
         let cfg = ResExConfig::default();
-        let k = u64::from(cfg.watchdog_stale_intervals);
+        let k = u64::from(WATCHDOG_STALE_INTERVALS);
         assert!(k > 3, "watchdog must outlast ordinary stale blips");
         let mut m = mgr(Box::new(FreeMarket::new()));
         m.on_interval(t(0), &[(A, snap(1000, 50.0))]);
@@ -727,7 +726,7 @@ mod tests {
     #[test]
     fn debt_carryover_survives_the_epoch_boundary() {
         let cfg = ResExConfig {
-            debt_carryover: true,
+            hardened: true,
             ..Default::default()
         };
         let mut m = ResExManager::new(cfg, Box::new(FreeMarket::new())).unwrap();

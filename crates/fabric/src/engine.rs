@@ -395,11 +395,6 @@ impl Fabric {
         self.recovery = true;
     }
 
-    /// True if [`Fabric::enable_recovery`] was called.
-    pub fn recovery_enabled(&self) -> bool {
-        self.recovery
-    }
-
     /// Number of QPs currently broken and awaiting reconnection.
     pub fn broken_qp_count(&self) -> usize {
         self.cm.len()
@@ -409,11 +404,6 @@ impl Fabric {
     /// draining the log. Healthy runs return an empty vector.
     pub fn take_internal_errors(&mut self) -> Vec<(SimTime, FabricError)> {
         std::mem::take(&mut self.internal_errors)
-    }
-
-    /// Number of internal inconsistencies caught so far (non-draining).
-    pub fn internal_error_count(&self) -> usize {
-        self.internal_errors.len()
     }
 
     /// Adds a node (HCA + switch port) and returns its id.

@@ -123,11 +123,6 @@ impl Hypervisor {
         PcpuId::new(self.n_pcpus - 1)
     }
 
-    /// Number of physical CPUs.
-    pub fn pcpus(&self) -> u32 {
-        self.n_pcpus
-    }
-
     /// Creates a domain. The first domain created is dom0 (privileged by
     /// convention; pass `privileged = true` for it).
     pub fn create_domain(
@@ -161,11 +156,6 @@ impl Hypervisor {
     /// A domain's guest memory.
     pub fn domain_memory(&self, d: DomainId) -> Result<MemoryHandle, HvError> {
         Ok(self.dom(d)?.mem.clone())
-    }
-
-    /// A domain's name.
-    pub fn domain_name(&self, d: DomainId) -> Result<&str, HvError> {
-        Ok(&self.dom(d)?.name)
     }
 
     /// Whether a domain is privileged.

@@ -8,7 +8,7 @@
 //! clients on the other.
 
 use resex_adversary::AdversarySpec;
-use resex_benchex::{ClientMode, ClientTuning, ServerConfig, TraceProfile};
+use resex_benchex::{ClientMode, ServerConfig, TraceProfile};
 use resex_core::{ResExConfig, SlaTarget};
 use resex_fabric::{FabricConfig, Topology};
 use resex_faults::FaultSchedule;
@@ -187,10 +187,6 @@ pub struct ScenarioConfig {
     /// byte-identical to adversary-unaware builds).
     #[serde(default)]
     pub adversary: AdversarySpec,
-    /// Client recovery knobs (absent in older scenario files = the
-    /// historical constants: 10 ms request timeout, 16-retry budget).
-    #[serde(default)]
-    pub client_tuning: ClientTuning,
     /// Where this scenario's host pair sits (absent in older scenario
     /// files = the historical single-crossbar model, which changes
     /// nothing). A rack placement replaces the crossbar's switch+wire
@@ -219,7 +215,6 @@ impl ScenarioConfig {
             obs: ObsOptions::default(),
             faults: FaultSchedule::default(),
             adversary: AdversarySpec::default(),
-            client_tuning: ClientTuning::default(),
             topology: Topology::Crossbar,
         }
     }

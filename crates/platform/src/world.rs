@@ -22,13 +22,14 @@ use crate::metrics::{record_latency, AdversaryTotals, CrashTotals, RunMetrics, V
 use crate::scenario::{PolicyKind, ScenarioConfig};
 use resex_adversary::{Antagonist, AttackTraffic};
 use resex_benchex::{
-    AgentConfig, Client, ClientAction, ClientMode, LatencyReport, ReportingAgent, RetryDecision,
-    Server, ServerAction, TraceGen, TraceProfile, TransactionRequest, TransactionResponse,
+    Client, ClientAction, ClientMode, LatencyReport, ReportingAgent, RetryDecision, Server,
+    ServerAction, TraceGen, TraceProfile, TransactionRequest, TransactionResponse, REQUEST_TIMEOUT,
     REQUEST_WIRE_BYTES, RESPONSE_HEADER_BYTES,
 };
 use resex_core::{
     BufferRatio, DecisionJournal, DemandPricing, FreeMarket, IntervalOutcome, IoShares,
     LatencyFeedback, ManagerAction, PricingPolicy, ResExManager, StaticReserve, VmId, VmSnapshot,
+    INTERVAL_JITTER_FRAC, WATCHDOG_ACTUATION_FAILURES,
 };
 use resex_fabric::qp::{RecvRequest, WorkRequest};
 use resex_fabric::{
@@ -212,9 +213,9 @@ pub struct World {
     /// attacker state exists at all — adversary-off runs stay
     /// byte-identical to builds that predate the plane.
     antagonist: Option<Antagonist>,
-    /// Jitter RNG for randomized charging-interval sampling
-    /// (`resex.interval_jitter_frac > 0`); `None` keeps the legacy fixed
-    /// cadence and draws nothing.
+    /// Jitter RNG for randomized charging-interval sampling (managed
+    /// `resex.hardened` runs); `None` keeps the fixed cadence and draws
+    /// nothing.
     jitter_rng: Option<SimRng>,
     /// Crash-domain orchestration, armed only when the fault schedule can
     /// fire a manager/host/VM crash. `None` means no crash state exists
@@ -460,7 +461,7 @@ impl World {
                 dom,
                 vcpu,
                 server: Server::new(server_cfg),
-                agent: ReportingAgent::new(AgentConfig::default()),
+                agent: ReportingAgent::default(),
                 last_report: None,
                 qp,
                 send_cq,
@@ -495,7 +496,6 @@ impl World {
                 );
                 client = Client::new(i as u32, mode, TraceGen::new(profile, seed), seed);
             }
-            client.set_retry_limit(cfg.client_tuning.request_retry_limit);
             clients.push(ClientRuntime {
                 client,
                 qp: cqp,
@@ -553,9 +553,9 @@ impl World {
         }
 
         // Randomized charging-interval sampling (anti-phase-lock
-        // hardening): a dedicated RNG stream domain, armed only when the
-        // knob is on — legacy runs draw nothing.
-        let jitter_rng = if manager.is_some() && cfg.resex.interval_jitter_frac > 0.0 {
+        // hardening): a dedicated RNG stream domain, armed only in
+        // hardened runs — unhardened runs draw nothing.
+        let jitter_rng = if manager.is_some() && cfg.resex.hardened {
             Some(SimRng::seed_from_u64(cfg.seed ^ DOMAIN_JITTER))
         } else {
             None
@@ -1407,51 +1407,25 @@ impl World {
             Some(&i) => i,
             None => return,
         };
-        if self.vm_is_down(vmi) {
-            // The VM process is gone: its poll loop can't pick this up.
-            // Consume the completion, re-arm the slot, and drop the
-            // request — the client sees honest timeout latency and
-            // re-issues after the restart.
-            let recv_cq = self.vms[vmi].recv_cq;
-            let _ = self.fabric.drain_cq(self.node_srv, recv_cq, 64);
-            let lkey = self.vms[vmi].req_lkey;
-            let gpa = self.vms[vmi].req_base.add(slot * SLOT_BYTES);
-            self.post_recv_or_defer(
-                self.node_srv,
-                qp,
-                RecvRequest {
-                    wr_id: slot,
-                    lkey,
-                    gpa,
-                    len: SLOT_BYTES as u32,
-                },
-                t,
-            );
-            if let Some(p) = self.crash.as_mut() {
-                p.totals.requests_dropped += 1;
-            }
-            if self.tracer.enabled() {
-                self.tracer.instant(
-                    t,
-                    subsystem::CHAOS,
-                    "request_dropped",
-                    Scope::Vm(vmi as u32),
-                    vec![],
-                );
-            }
-            return;
-        }
         // The guest's poll loop consumes the completion (frees the ring
-        // slot for the HCA; IBMon still sees the written bytes).
+        // slot for the HCA; IBMon still sees the written bytes). A crashed
+        // VM's process is gone and can't pick the request up: the platform
+        // consumes the completion, re-arms the slot and drops the request —
+        // the client sees honest timeout latency and re-issues after the
+        // restart.
         let recv_cq = self.vms[vmi].recv_cq;
         let _ = self.fabric.drain_cq(self.node_srv, recv_cq, 64);
         let gpa = self.vms[vmi].req_base.add(slot * SLOT_BYTES);
-        let mut wire = [0u8; REQUEST_WIRE_BYTES as usize];
-        self.vms[vmi]
-            .mem
-            .read(gpa, &mut wire)
-            .expect("request bytes");
-        let req = TransactionRequest::decode(&wire).expect("well-formed request");
+        let req = if self.vm_is_down(vmi) {
+            None
+        } else {
+            let mut wire = [0u8; REQUEST_WIRE_BYTES as usize];
+            self.vms[vmi]
+                .mem
+                .read(gpa, &mut wire)
+                .expect("request bytes");
+            Some(TransactionRequest::decode(&wire).expect("well-formed request"))
+        };
         // Replenish the receive slot before handing the request over.
         let lkey = self.vms[vmi].req_lkey;
         self.post_recv_or_defer(
@@ -1465,6 +1439,21 @@ impl World {
             },
             t,
         );
+        let Some(req) = req else {
+            if let Some(p) = self.crash.as_mut() {
+                p.totals.requests_dropped += 1;
+            }
+            if self.tracer.enabled() {
+                self.tracer.instant(
+                    t,
+                    subsystem::CHAOS,
+                    "request_dropped",
+                    Scope::Vm(vmi as u32),
+                    vec![],
+                );
+            }
+            return;
+        };
         let act = self.vms[vmi].server.on_request(req, t);
         self.apply_server_action(vmi, act, t);
     }
@@ -1681,7 +1670,7 @@ impl World {
         let key = req.id & 0xFFFF_FFFF;
         let timeout = if self.faults_on {
             Some(self.queue.schedule_at(
-                t + self.cfg.client_tuning.request_timeout,
+                t + REQUEST_TIMEOUT,
                 Ev::RequestTimeout {
                     client: ci,
                     req_id: key,
@@ -1749,15 +1738,7 @@ impl World {
                 // would have (including the jitter draw), so the calendar
                 // stays aligned for the recovery's catch-up settlement.
                 self.interval_count += 1;
-                let interval = self.cfg.resex.interval;
-                let next = match &mut self.jitter_rng {
-                    Some(rng) => {
-                        let frac = self.cfg.resex.interval_jitter_frac;
-                        interval.mul_f64(1.0 + frac * (rng.next_f64() - 0.5))
-                    }
-                    None => interval,
-                };
-                self.queue.schedule_at(t + next, Ev::ResExInterval);
+                self.schedule_next_interval(t);
                 return;
             }
         }
@@ -1765,14 +1746,6 @@ impl World {
         // egress backlog); settle any pending link batch first so those
         // reads match the chunk-at-a-time execution exactly.
         self.fabric.settle_links(t);
-        let (interval, force_after) = {
-            let cfg = self
-                .manager
-                .as_ref()
-                .expect("tick implies manager")
-                .config();
-            (cfg.interval, cfg.watchdog_actuation_failures)
-        };
         let (snapshots, mut rows) = self.framed("telemetry", |w| w.interval_telemetry(t));
         let outcome = self.framed("policy", |w| {
             w.manager
@@ -1780,20 +1753,21 @@ impl World {
                 .expect("manager present")
                 .on_interval(t, &snapshots)
         });
-        self.framed("actuate", |w| {
-            w.interval_actuate(t, &outcome, force_after, &mut rows)
-        });
+        self.framed("actuate", |w| w.interval_actuate(t, &outcome, &mut rows));
         self.framed("snapshot", |w| w.interval_snapshot(&outcome, rows));
         self.interval_count += 1;
-        // Hardening: a jittered manager samples each next interval in
-        // [1 - frac/2, 1 + frac/2]× the nominal cadence, so an attacker
-        // cannot phase-lock bursts to the charging boundary. Legacy
-        // (frac = 0) runs take the `None` arm and draw nothing.
+        self.schedule_next_interval(t);
+    }
+
+    /// Schedules the next charging interval. Hardened runs sample it in
+    /// [1 - f/2, 1 + f/2]× the nominal cadence (f =
+    /// [`INTERVAL_JITTER_FRAC`]), so an attacker cannot phase-lock bursts
+    /// to the charging boundary; unhardened runs take the `None` arm and
+    /// draw nothing.
+    fn schedule_next_interval(&mut self, t: SimTime) {
+        let interval = self.cfg.resex.interval;
         let next = match &mut self.jitter_rng {
-            Some(rng) => {
-                let frac = self.cfg.resex.interval_jitter_frac;
-                interval.mul_f64(1.0 + frac * (rng.next_f64() - 0.5))
-            }
+            Some(rng) => interval.mul_f64(1.0 + INTERVAL_JITTER_FRAC * (rng.next_f64() - 0.5)),
             None => interval,
         };
         self.queue.schedule_at(t + next, Ev::ResExInterval);
@@ -1813,7 +1787,7 @@ impl World {
         for i in 0..self.vms.len() {
             let dom = self.vms[i].dom;
             let mut usage = self.ibmon.sample_vm(dom, t).expect("introspection reads");
-            if self.cfg.resex.ibmon_crosscheck {
+            if self.cfg.resex.hardened {
                 // Hardening: diff the fabric's QP counter over the
                 // interval — a ground truth no guest traffic shape can
                 // influence — and reject ring-scan estimates that fall
@@ -1856,12 +1830,9 @@ impl World {
                 .xenstat
                 .sample(&mut self.hv, dom, t)
                 .expect("domain exists");
-            let (report, _cost) = {
-                let vm = &mut self.vms[i];
-                vm.agent.report(&vm.server.window, t)
-            };
-            if report.is_some() {
-                self.vms[i].last_report = report;
+            let vm = &mut self.vms[i];
+            if let Some(report) = vm.agent.report(&vm.server.window, t) {
+                vm.last_report = Some(report);
             }
             let latency = self.vms[i].last_report.map(|r| LatencyFeedback {
                 mean_us: r.mean_us,
@@ -1938,7 +1909,6 @@ impl World {
         &mut self,
         t: SimTime,
         outcome: &IntervalOutcome,
-        force_after: u32,
         rows: &mut [IntervalSnapshot],
     ) {
         for action in &outcome.actions {
@@ -1961,7 +1931,7 @@ impl World {
                             vec![("cap_pct", cap_pct.into())],
                         );
                     }
-                    if force_after > 0 && self.actuation_streak[vm.index()] >= force_after {
+                    if self.actuation_streak[vm.index()] >= WATCHDOG_ACTUATION_FAILURES {
                         self.actuation_streak[vm.index()] = 0;
                         self.hv
                             .privileged_force_cap(self.dom0, dom, cap_pct, t)
@@ -1975,7 +1945,7 @@ impl World {
                                 Scope::Vm(vm.raw()),
                                 vec![
                                     ("cap_pct", cap_pct.into()),
-                                    ("failures", u64::from(force_after).into()),
+                                    ("failures", u64::from(WATCHDOG_ACTUATION_FAILURES).into()),
                                 ],
                             );
                         }

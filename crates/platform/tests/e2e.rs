@@ -179,18 +179,36 @@ fn ibmon_estimates_track_ground_truth() {
 fn scenario_config_json_roundtrip() {
     // The `simulate` binary's contract: any scenario serializes to JSON and
     // back without loss, and the rebuilt scenario runs identically.
+    for hardened in [false, true] {
+        let mut cfg = ScenarioConfig::managed(2 * 1024 * 1024, PolicyKind::IoShares);
+        cfg.duration = SimDuration::from_millis(600);
+        cfg.warmup = SimDuration::from_millis(100);
+        cfg.resex.hardened = hardened;
+        let json = serde_json::to_string_pretty(&cfg).unwrap();
+        let back: ScenarioConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.label, cfg.label);
+        assert_eq!(back.vms.len(), cfg.vms.len());
+        assert_eq!(back.policy, cfg.policy);
+        assert_eq!(back.resex.hardened, hardened);
+        let a = run_scenario(cfg);
+        let b = run_scenario(back);
+        assert_eq!(a.events_processed, b.events_processed, "identical runs");
+        assert_eq!(a.rows()[0].requests, b.rows()[0].requests);
+    }
+    // A scenario file written before the switch existed has no
+    // `resex.hardened` key and loads unhardened.
     let mut cfg = ScenarioConfig::managed(2 * 1024 * 1024, PolicyKind::IoShares);
-    cfg.duration = SimDuration::from_millis(600);
-    cfg.warmup = SimDuration::from_millis(100);
-    let json = serde_json::to_string_pretty(&cfg).unwrap();
-    let back: ScenarioConfig = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.label, cfg.label);
-    assert_eq!(back.vms.len(), cfg.vms.len());
-    assert_eq!(back.policy, cfg.policy);
-    let a = run_scenario(cfg);
-    let b = run_scenario(back);
-    assert_eq!(a.events_processed, b.events_processed, "identical runs");
-    assert_eq!(a.rows()[0].requests, b.rows()[0].requests);
+    cfg.resex.hardened = true;
+    let mut doc = serde_json::to_value(&cfg).unwrap();
+    let serde_json::Value::Object(top) = &mut doc else {
+        panic!("a scenario serializes to an object")
+    };
+    let Some(serde_json::Value::Object(resex)) = top.get_mut("resex") else {
+        panic!("the scenario has a resex block")
+    };
+    assert!(resex.remove("hardened").is_some());
+    let old: ScenarioConfig = serde_json::from_value(doc).unwrap();
+    assert!(!old.resex.hardened);
 }
 
 /// Long soak under management: many epochs, invariants hold throughout.

@@ -12,7 +12,6 @@
 //! where per-response spend is high enough to drain allocations.
 
 use resex_adversary::AdversarySpec;
-use resex_core::ResExConfig;
 use resex_platform::experiments::{p99_us, slo_violation_pct};
 use resex_platform::{run_scenario, PolicyKind, RunMetrics, ScenarioConfig};
 use resex_simcore::time::SimDuration;
@@ -43,9 +42,7 @@ fn scenario(
     let mut cfg = ScenarioConfig::adversarial(buf, N_ATTACKERS, policy);
     cfg.duration = SimDuration::from_secs(2);
     cfg.warmup = SimDuration::from_millis(200);
-    if hardened {
-        cfg.resex = ResExConfig::hardened();
-    }
+    cfg.resex.hardened = hardened;
     if let Some(spec) = adversary {
         cfg.adversary = AdversarySpec::parse(spec).expect("valid adversary spec");
     }

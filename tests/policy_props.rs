@@ -116,7 +116,7 @@ proptest! {
         intervals in 1u64..200,
         hardened in any::<bool>(),
     ) {
-        let cfg = if hardened { ResExConfig::hardened() } else { ResExConfig::default() };
+        let cfg = ResExConfig { hardened, ..ResExConfig::default() };
         let mut mgr = ResExManager::new(cfg, Box::new(IoShares::new(sla()))).unwrap();
         let vms: Vec<VmId> = (0..n_vms as u32).map(VmId::new).collect();
         for &vm in &vms {
@@ -148,7 +148,7 @@ proptest! {
         intervals in 1u64..50,
         hardened in any::<bool>(),
     ) {
-        let cfg = if hardened { ResExConfig::hardened() } else { ResExConfig::default() };
+        let cfg = ResExConfig { hardened, ..ResExConfig::default() };
         let mut policy = IoShares::new(sla());
         for k in 0..intervals {
             let v = ioshares_interval(&mut policy, &cfg, k, u64::MAX / 64, latency_us, &intf_mtus);
@@ -167,7 +167,7 @@ proptest! {
         intervals in 1u64..100,
         hardened in any::<bool>(),
     ) {
-        let cfg = if hardened { ResExConfig::hardened() } else { ResExConfig::default() };
+        let cfg = ResExConfig { hardened, ..ResExConfig::default() };
         let mut mgr = ResExManager::new(cfg, Box::new(FreeMarket::new())).unwrap();
         let vm = VmId::new(0);
         mgr.register_vm(vm, 1);
@@ -200,7 +200,7 @@ proptest! {
         intervals in 6u64..60,
         clamp in any::<bool>(),
     ) {
-        let cfg = ResExConfig { group_clamp: clamp, ..ResExConfig::default() };
+        let cfg = ResExConfig { hardened: clamp, ..ResExConfig::default() };
         let mut policy = IoShares::new(sla());
         let latency = 209.0 * inflation;
         for k in 0..intervals {
@@ -270,11 +270,11 @@ proptest! {
         overdraft in -100i64..10_000,
         interval in 0u64..1000,
         mode_ix in 0usize..3,
-        hard_floor in any::<bool>(),
+        hardened in any::<bool>(),
     ) {
         let mode = [DepletionMode::Gradual, DepletionMode::HardStop, DepletionMode::Proportional]
             [mode_ix];
-        let cfg = ResExConfig { depletion: mode, hard_floor, ..ResExConfig::default() };
+        let cfg = ResExConfig { depletion: mode, hardened, ..ResExConfig::default() };
         let mut fm = FreeMarket::new();
         let vms = vec![(
             VmId::new(0),

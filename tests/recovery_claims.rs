@@ -2,6 +2,7 @@
 //! nothing permanently lost, and the manager watchdog unsticks a jammed
 //! actuation path instead of decaying forever.
 
+use resex_core::{WATCHDOG_ACTUATION_FAILURES, WATCHDOG_STALE_INTERVALS};
 use resex_faults::{FaultKind, FaultSchedule, FaultSpec, FaultWindow};
 use resex_platform::{run_scenario, PolicyKind, ScenarioConfig};
 use resex_simcore::time::{SimDuration, SimTime};
@@ -83,7 +84,7 @@ fn trips_after_stale_intervals(intervals: u64) -> u64 {
 /// `K`-th trips the fail-safe.
 #[test]
 fn the_stale_watchdog_trips_at_exactly_k_intervals() {
-    let k = u64::from(managed_cfg().resex.watchdog_stale_intervals);
+    let k = u64::from(WATCHDOG_STALE_INTERVALS);
     assert!(k >= 2, "boundary probe needs a real threshold, got {k}");
     assert_eq!(
         trips_after_stale_intervals(k - 1),
@@ -139,7 +140,7 @@ fn trips_after_actuation_failures(failures: u64) -> u64 {
 /// forced (reliable) path.
 #[test]
 fn the_actuation_watchdog_escalates_at_exactly_m_failures() {
-    let m = u64::from(dense_actuation_cfg().resex.watchdog_actuation_failures);
+    let m = u64::from(WATCHDOG_ACTUATION_FAILURES);
     assert!(m >= 2, "boundary probe needs a real threshold, got {m}");
     assert_eq!(
         trips_after_actuation_failures(m - 1),
