@@ -2,7 +2,8 @@
 # Local CI: format, lint, build, and the tier-1 test suite — fully offline.
 #
 # Usage: ./ci.sh [--quick]
-#   --quick  fast tier: fmt/clippy/build/test plus the byte-identity gates
+#   --quick  fast tier: fmt/clippy/build/test, a build of the perfbench
+#            benchmark against the current API, plus the byte-identity gates
 #            (thread-count, profiler zero-perturbation, sharded-calendar,
 #            committed fig9 baseline, per-target figure, trace, metrics
 #            and faulted-fig9 digests). Minutes, suitable for every push.
@@ -37,6 +38,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # clone), and skipping the member crates' test suites.
 echo "==> cargo build --release --workspace"
 cargo build --release --offline --workspace
+
+echo "==> cargo build --release perfbench (the benchmark's own workspace)"
+# perfbench/ is a separate workspace that drives the simulator through its
+# public API, so the workspace build above cannot see it break. Built into
+# perfbench/run.py's default target dir, so a later benchmark run is warm.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q --workspace (superset of tier-1)"
 cargo test -q --offline --workspace

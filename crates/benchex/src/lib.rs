@@ -30,4 +30,4 @@ pub use request::{
     TransactionRequest, TransactionResponse, REQUEST_WIRE_BYTES, RESPONSE_HEADER_BYTES,
 };
 pub use server::{Server, ServerAction, ServerConfig, RESPONSE_BYTES_PER_OPTION};
-pub use trace::{Burstiness, RecordedTrace, TaskMix, TraceGen, TraceProfile};
+pub use trace::{Burstiness, TaskMix, TraceGen, TraceProfile};

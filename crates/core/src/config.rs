@@ -70,8 +70,7 @@ pub struct ResExConfig {
     /// toward 1 when no interference is detected (the "back off" behaviour
     /// of Figure 8).
     pub rate_decay: f64,
-    /// How budget-style policies (FreeMarket, DemandPricing) throttle a VM
-    /// whose balance runs low.
+    /// How FreeMarket throttles a VM whose balance runs low.
     pub depletion: DepletionMode,
     /// Adversary hardening, one switch for every measure (off by
     /// default, and in scenario files that predate it):

@@ -42,9 +42,6 @@ resex_simcore::define_id!(
     UarId
 );
 
-/// Wire size of the request packet that initiates an RDMA read.
-const READ_REQUEST_BYTES: u32 = 16;
-
 /// Cap on every exponential-backoff shift (RNR NAK waits and connection-
 /// manager reconnect waits): `base << shift` is computed in `u64`, so the
 /// exponent must stay far away from 64, and a bounded shift also keeps the
@@ -581,13 +578,9 @@ impl Fabric {
                 .qps
                 .get(&qp_num)
                 .ok_or(FabricError::UnknownQp(node, qp_num))?;
-            let need = match wr.opcode {
-                Opcode::RdmaRead => Need::LocalWrite,
-                _ => Need::LocalRead,
-            };
             let mem = n
                 .tpt
-                .check(wr.lkey, wr.local_gpa, wr.len, need, Some(qp.pd))?;
+                .check(wr.lkey, wr.local_gpa, wr.len, Need::LocalRead, Some(qp.pd))?;
             if let Some(mut buf) = pooled {
                 mem.read(wr.local_gpa, &mut buf)?;
                 Some(buf)
@@ -595,7 +588,7 @@ impl Fabric {
                 None
             }
         };
-        let (dst_node, dst_qp, kind, job_len) = {
+        let (dst_node, dst_qp, kind) = {
             let qp = n
                 .qps
                 .get_mut(&qp_num)
@@ -609,13 +602,6 @@ impl Fabric {
                 Opcode::Send => JobKind::Send,
                 Opcode::RdmaWrite => JobKind::Write,
                 Opcode::RdmaWriteImm => JobKind::WriteImm,
-                Opcode::RdmaRead => JobKind::ReadRequest {
-                    resp_len: wr.len,
-                    remote_gpa: wr.remote.map(|r| r.gpa).unwrap_or(Gpa::new(0)),
-                    rkey: wr.remote.map(|r| r.rkey).unwrap_or(0),
-                    local_gpa: wr.local_gpa,
-                    lkey: wr.lkey,
-                },
                 Opcode::Recv => {
                     return Err(FabricError::BadQpState {
                         qp: qp_num,
@@ -623,15 +609,10 @@ impl Fabric {
                     })
                 }
             };
-            let job_len = if wr.opcode == Opcode::RdmaRead {
-                READ_REQUEST_BYTES
-            } else {
-                wr.len
-            };
             // The WQE is consumed by the engine immediately (the HCA's DMA
             // engine picks it up at doorbell time).
             qp.sq.pop_back();
-            (remote.0, remote.1, kind, job_len)
+            (remote.0, remote.1, kind)
         };
         // Ring the doorbell (guest-visible posting signal).
         if let Some(&uid) = n.qp_uar.get(&qp_num) {
@@ -649,7 +630,7 @@ impl Fabric {
             kind,
             dst_node,
             dst_qp,
-            len: job_len,
+            len: wr.len,
             sent: 0,
             signaled: wr.signaled,
             remote_gpa: wr.remote.map(|r| r.gpa).unwrap_or(Gpa::new(0)),
@@ -1266,36 +1247,12 @@ impl Fabric {
             if self.recovery {
                 // Connection manager armed: no error completion, no flush.
                 // The message (and the QP's backlog) is journaled and the
-                // QP cycles through reconnection; for a lost read response
-                // the replay restarts the response stream, so the initiator
-                // eventually sees its success CQE instead of RetryExceeded.
+                // QP cycles through reconnection.
                 self.fail_qp_with_journal(t, job);
                 return;
             }
-            // A lost read *response* times out at the initiator: the error
-            // completion and the ERROR transition belong to the requester's
-            // QP, not the responder's.
-            if let JobKind::ReadResponse {
-                initiator_wr,
-                initiator_qp,
-                ..
-            } = &job.kind
-            {
-                let (wr, qp) = (*initiator_wr, *initiator_qp);
-                self.write_send_cqe(
-                    t,
-                    job.dst_node,
-                    qp,
-                    wr,
-                    Opcode::RdmaRead,
-                    WcStatus::RetryExceeded,
-                    job.len,
-                );
-                let _ = self.set_qp_error(job.dst_node, qp, t);
-            } else {
-                self.complete_sender_err(t, &job, WcStatus::RetryExceeded);
-                let _ = self.set_qp_error(job.src_node, job.qp, t);
-            }
+            self.complete_sender_err(t, &job, WcStatus::RetryExceeded);
+            let _ = self.set_qp_error(job.src_node, job.qp, t);
             return;
         }
         if let Some(n) = self.nodes.get_mut(job.src_node.index()) {
@@ -1627,7 +1584,7 @@ impl Fabric {
                 ],
             );
         }
-        match job.kind.clone() {
+        match job.kind {
             JobKind::Send => self.deliver_two_sided(t, job, None),
             JobKind::WriteImm => {
                 // Place the data first, then consume a receive.
@@ -1657,19 +1614,6 @@ impl Fabric {
                 self.recycle_payload(job.payload.take());
                 Ok(())
             }
-            JobKind::ReadRequest {
-                resp_len,
-                remote_gpa,
-                rkey,
-                local_gpa,
-                lkey,
-            } => self.start_read_response(t, job, resp_len, remote_gpa, rkey, local_gpa, lkey),
-            JobKind::ReadResponse {
-                local_gpa,
-                lkey,
-                initiator_wr,
-                initiator_qp,
-            } => self.finish_read(t, job, local_gpa, lkey, initiator_wr, initiator_qp),
         }
     }
 
@@ -1829,127 +1773,6 @@ impl Fabric {
         if let Some(payload) = &job.payload {
             mem.dma_write(job.remote_gpa, payload)
                 .map_err(|_| WcStatus::RemoteAccessError)?;
-        }
-        Ok(())
-    }
-
-    /// A read request arrived at the responder: validate and stream back.
-    #[allow(clippy::too_many_arguments)]
-    fn start_read_response(
-        &mut self,
-        t: SimTime,
-        job: EgressJob,
-        resp_len: u32,
-        remote_gpa: Gpa,
-        rkey: u32,
-        local_gpa: Gpa,
-        lkey: u32,
-    ) -> Result<(), FabricError> {
-        self.settle_node(job.dst_node, t, false);
-        let responder = job.dst_node;
-        let payload = {
-            let n = match self.nodes.get_mut(responder.index()) {
-                Some(n) => n,
-                None => return Ok(()),
-            };
-            match n
-                .tpt
-                .check(rkey, remote_gpa, resp_len, Need::RemoteRead, None)
-            {
-                Ok(mem) => {
-                    if resp_len <= self.cfg.payload_copy_threshold {
-                        let mem = mem.clone();
-                        let mut buf = self.pool_buf(resp_len as usize);
-                        if mem.read(remote_gpa, &mut buf).is_ok() {
-                            Some(buf)
-                        } else {
-                            self.recycle_payload(Some(buf));
-                            None
-                        }
-                    } else {
-                        None
-                    }
-                }
-                Err(_) => {
-                    self.complete_sender_err(t, &job, WcStatus::RemoteAccessError);
-                    return Ok(());
-                }
-            }
-        };
-        let seq = self.job_seq;
-        self.job_seq += 1;
-        let resp = EgressJob {
-            seq,
-            src_node: responder,
-            // Charge the responder-side QP: read traffic consumes the
-            // responder's egress bandwidth, as on real fabrics.
-            qp: job.dst_qp,
-            wr_id: job.wr_id,
-            opcode: Opcode::RdmaRead,
-            kind: JobKind::ReadResponse {
-                local_gpa,
-                lkey,
-                initiator_wr: job.wr_id,
-                initiator_qp: job.qp,
-            },
-            dst_node: job.src_node,
-            dst_qp: job.qp,
-            len: resp_len,
-            sent: 0,
-            signaled: job.signaled,
-            remote_gpa,
-            rkey,
-            imm: 0,
-            payload,
-            attempt: 0,
-            rnr_attempt: 0,
-        };
-        let n = self.nodes.get_mut(responder.index()).ok_or_else(|| {
-            FabricError::InternalInconsistency(format!(
-                "responder node {responder} vanished while starting a read response"
-            ))
-        })?;
-        n.arbiter.enqueue(resp);
-        self.kick_link(responder, t);
-        Ok(())
-    }
-
-    /// Read-response data fully arrived back at the initiator.
-    fn finish_read(
-        &mut self,
-        t: SimTime,
-        mut job: EgressJob,
-        local_gpa: Gpa,
-        lkey: u32,
-        initiator_wr: u64,
-        initiator_qp: QpNum,
-    ) -> Result<(), FabricError> {
-        let initiator = job.dst_node;
-        let payload = job.payload.take();
-        let n = match self.nodes.get_mut(initiator.index()) {
-            Some(n) => n,
-            None => return Ok(()),
-        };
-        if let Some(payload) = &payload {
-            let pd = n.qps.get(&initiator_qp).map(|q| q.pd);
-            if let Ok(mem) =
-                n.tpt
-                    .check(lkey, local_gpa, payload.len() as u32, Need::LocalWrite, pd)
-            {
-                let _ = mem.dma_write(local_gpa, payload);
-            }
-        }
-        self.recycle_payload(payload);
-        if job.signaled {
-            self.write_send_cqe(
-                t,
-                initiator,
-                initiator_qp,
-                initiator_wr,
-                Opcode::RdmaRead,
-                WcStatus::Success,
-                job.len,
-            );
         }
         Ok(())
     }

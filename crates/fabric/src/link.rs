@@ -27,7 +27,7 @@ use resex_simmem::Gpa;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// What kind of transfer a job is, determining what happens on arrival.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobKind {
     /// Two-sided send: consumes a receive WQE at the destination.
     Send,
@@ -35,31 +35,6 @@ pub enum JobKind {
     Write,
     /// One-sided write that also consumes a receive WQE and delivers `imm`.
     WriteImm,
-    /// The (small) request packet of an RDMA read; on arrival the responder
-    /// streams `resp_len` bytes back.
-    ReadRequest {
-        /// Bytes the responder must return.
-        resp_len: u32,
-        /// Remote address to read from.
-        remote_gpa: Gpa,
-        /// Remote key authorizing the read.
-        rkey: u32,
-        /// Initiator-side landing buffer.
-        local_gpa: Gpa,
-        /// Initiator-side local key (already validated at post time).
-        lkey: u32,
-    },
-    /// Read-response data flowing responder → initiator.
-    ReadResponse {
-        /// Initiator-side landing buffer.
-        local_gpa: Gpa,
-        /// Initiator-side local key covering the landing buffer.
-        lkey: u32,
-        /// Initiator's original work-request cookie.
-        initiator_wr: u64,
-        /// Initiator's queue pair.
-        initiator_qp: QpNum,
-    },
 }
 
 /// One transfer queued on (or in flight through) an egress link.

@@ -43,7 +43,7 @@ pub struct WorkRequest {
     pub wr_id: u64,
     /// Operation.
     pub opcode: Opcode,
-    /// Local key covering the source (or, for reads, destination) buffer.
+    /// Local key covering the source buffer.
     pub lkey: u32,
     /// Local buffer address.
     pub local_gpa: Gpa,

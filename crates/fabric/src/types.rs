@@ -35,9 +35,6 @@ pub enum Opcode {
     /// RDMA write with immediate; also consumes a receive WQE and generates
     /// a receive completion carrying the immediate value.
     RdmaWriteImm = 2,
-    /// One-sided RDMA read; data flows from the responder back to the
-    /// initiator, consuming the *responder's* egress bandwidth.
-    RdmaRead = 3,
     /// Receive completion (never posted; only appears in CQEs).
     Recv = 4,
 }
@@ -49,7 +46,6 @@ impl Opcode {
             0 => Opcode::Send,
             1 => Opcode::RdmaWrite,
             2 => Opcode::RdmaWriteImm,
-            3 => Opcode::RdmaRead,
             4 => Opcode::Recv,
             _ => return None,
         })
@@ -107,12 +103,10 @@ impl WcStatus {
 pub struct Access {
     /// Local read (always required for sends).
     pub local_read: bool,
-    /// Local write (required for receive and read-response placement).
+    /// Local write (required for receive placement).
     pub local_write: bool,
     /// Remote write (required for incoming RDMA writes).
     pub remote_write: bool,
-    /// Remote read (required for incoming RDMA reads).
-    pub remote_read: bool,
 }
 
 impl Access {
@@ -121,7 +115,6 @@ impl Access {
         local_read: true,
         local_write: true,
         remote_write: false,
-        remote_read: false,
     };
 
     /// Full local + remote access (typical for benchmark buffers).
@@ -129,7 +122,6 @@ impl Access {
         local_read: true,
         local_write: true,
         remote_write: true,
-        remote_read: true,
     };
 }
 
@@ -143,11 +135,11 @@ mod tests {
             Opcode::Send,
             Opcode::RdmaWrite,
             Opcode::RdmaWriteImm,
-            Opcode::RdmaRead,
             Opcode::Recv,
         ] {
             assert_eq!(Opcode::from_u8(op as u8), Some(op));
         }
+        assert_eq!(Opcode::from_u8(3), None);
         assert_eq!(Opcode::from_u8(200), None);
     }
 

@@ -252,11 +252,6 @@ impl Hypervisor {
         Ok(self.dom(dom)?.cap_pct)
     }
 
-    /// A domain's current weight.
-    pub fn weight(&self, dom: DomainId) -> Result<u32, HvError> {
-        Ok(self.dom(dom)?.weight)
-    }
-
     // ----- workload interface --------------------------------------------
 
     /// Starts a finite compute job of `cpu_time` on `vcpu`. Completion is

@@ -25,15 +25,6 @@ pub enum PolicyKind {
     FreeMarket,
     /// IOShares (Algorithm 2); SLAs come from each VM's `sla` field.
     IoShares,
-    /// Fixed caps per VM index.
-    StaticReserve(Vec<(usize, u32)>),
-    /// Buffer-ratio caps relative to the VM at `reference` index.
-    BufferRatio {
-        /// Index of the reporting VM.
-        reference: usize,
-    },
-    /// Uniform demand-driven epoch pricing (goal 1, purest form).
-    DemandPricing,
 }
 
 /// Hardware QoS assigned to a VM's queue pair at the HCA — the alternative
@@ -276,11 +267,6 @@ impl ScenarioConfig {
         if self.warmup.as_nanos() >= self.duration.as_nanos() {
             return Err("warmup must be shorter than the run".into());
         }
-        if let PolicyKind::BufferRatio { reference } = self.policy {
-            if reference >= self.vms.len() {
-                return Err("BufferRatio reference out of range".into());
-            }
-        }
         Ok(())
     }
 }
@@ -301,9 +287,6 @@ fn policy_tag(p: &PolicyKind) -> &'static str {
         PolicyKind::None => "none",
         PolicyKind::FreeMarket => "freemarket",
         PolicyKind::IoShares => "ioshares",
-        PolicyKind::StaticReserve(_) => "static",
-        PolicyKind::BufferRatio { .. } => "bufferratio",
-        PolicyKind::DemandPricing => "demand",
     }
 }
 
@@ -338,13 +321,6 @@ mod tests {
         assert!(cfg.vms[0].sla.is_some());
         assert!(cfg.vms[1].sla.is_none());
         assert_eq!(cfg.vms[1].name, "2MB");
-    }
-
-    #[test]
-    fn validation_catches_bad_reference() {
-        let mut cfg = ScenarioConfig::interfered(131072);
-        cfg.policy = PolicyKind::BufferRatio { reference: 9 };
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

@@ -27,9 +27,9 @@ use resex_benchex::{
     REQUEST_WIRE_BYTES, RESPONSE_HEADER_BYTES,
 };
 use resex_core::{
-    BufferRatio, DecisionJournal, DemandPricing, FreeMarket, IntervalOutcome, IoShares,
-    LatencyFeedback, ManagerAction, PricingPolicy, ResExManager, StaticReserve, VmId, VmSnapshot,
-    INTERVAL_JITTER_FRAC, WATCHDOG_ACTUATION_FAILURES,
+    DecisionJournal, FreeMarket, IntervalOutcome, IoShares, LatencyFeedback, ManagerAction,
+    PricingPolicy, ResExManager, VmId, VmSnapshot, INTERVAL_JITTER_FRAC,
+    WATCHDOG_ACTUATION_FAILURES,
 };
 use resex_fabric::qp::{RecvRequest, WorkRequest};
 use resex_fabric::{
@@ -80,15 +80,6 @@ fn make_policy(cfg: &ScenarioConfig) -> Option<Box<dyn PricingPolicy>> {
                 .iter()
                 .enumerate()
                 .filter_map(|(i, s)| s.sla.map(|sla| (VmId::new(i as u32), sla))),
-        ))),
-        PolicyKind::StaticReserve(caps) => Some(Box::new(StaticReserve::new(
-            caps.iter().map(|&(i, c)| (VmId::new(i as u32), c)),
-        ))),
-        PolicyKind::BufferRatio { reference } => {
-            Some(Box::new(BufferRatio::new(VmId::new(*reference as u32))))
-        }
-        PolicyKind::DemandPricing => Some(Box::new(DemandPricing::new(
-            cfg.fabric.mtus_per_second() * cfg.resex.epoch.as_nanos().max(1) / 1_000_000_000,
         ))),
     }
 }

@@ -209,6 +209,30 @@ fn scenario_config_json_roundtrip() {
     assert!(resex.remove("hardened").is_some());
     let old: ScenarioConfig = serde_json::from_value(doc).unwrap();
     assert!(!old.resex.hardened);
+    // A scenario naming a policy outside None/FreeMarket/IoShares is
+    // refused at load time rather than run unmanaged.
+    for (name, policy) in [
+        ("DemandPricing", serde_json::json!("DemandPricing")),
+        (
+            "StaticReserve",
+            serde_json::json!({ "StaticReserve": [[1, 25]] }),
+        ),
+        (
+            "BufferRatio",
+            serde_json::json!({ "BufferRatio": { "reference": 0 } }),
+        ),
+    ] {
+        let mut doc = serde_json::to_value(&cfg).unwrap();
+        doc["policy"] = policy;
+        let err = serde_json::from_value::<ScenarioConfig>(doc)
+            .err()
+            .unwrap_or_else(|| panic!("{name} loaded"));
+        assert!(
+            err.to_string()
+                .contains(&format!("unknown variant `{name}`")),
+            "{name}: {err}"
+        );
+    }
 }
 
 /// Long soak under management: many epochs, invariants hold throughout.

@@ -4,9 +4,8 @@
 //! domain's physical pages into its own address space and read them while the
 //! guest — and the HCA — keep writing. [`ForeignMapping`] is the simulated
 //! analogue: a window `[base, base+len)` over another domain's
-//! [`GuestMemory`], offering read (and optionally write)
-//! access through the same shared storage, so the monitor observes DMA'd
-//! bytes with zero-copy semantics.
+//! [`GuestMemory`], offering read access through the same shared storage,
+//! so the monitor observes DMA'd bytes with zero-copy semantics.
 
 use crate::error::MemError;
 use crate::memory::{Gpa, GuestMemory, MemoryHandle};
@@ -19,7 +18,6 @@ pub struct ForeignMapping {
     mem: Arc<RwLock<GuestMemory>>,
     base: Gpa,
     len: usize,
-    writable: bool,
 }
 
 impl ForeignMapping {
@@ -28,21 +26,6 @@ impl ForeignMapping {
     /// Fails if the window exceeds the target address space — like the real
     /// hypercall, you cannot map frames the domain does not own.
     pub fn map(target: &MemoryHandle, base: Gpa, len: usize) -> Result<Self, MemError> {
-        Self::map_inner(target, base, len, false)
-    }
-
-    /// Maps `[base, base+len)` of `target` read-write (used by control-path
-    /// tooling; IBMon itself only ever reads).
-    pub fn map_rw(target: &MemoryHandle, base: Gpa, len: usize) -> Result<Self, MemError> {
-        Self::map_inner(target, base, len, true)
-    }
-
-    fn map_inner(
-        target: &MemoryHandle,
-        base: Gpa,
-        len: usize,
-        writable: bool,
-    ) -> Result<Self, MemError> {
         let size = target.size();
         if base.raw().checked_add(len as u64).is_none_or(|e| e > size) {
             return Err(MemError::OutOfBounds {
@@ -55,7 +38,6 @@ impl ForeignMapping {
             mem: target.share(),
             base,
             len,
-            writable,
         })
     }
 
@@ -91,36 +73,11 @@ impl ForeignMapping {
         self.mem.read().read(self.base.add(offset as u64), buf)
     }
 
-    /// Reads a little-endian `u32` at `offset`.
-    pub fn read_u32_at(&self, offset: usize) -> Result<u32, MemError> {
-        let mut b = [0u8; 4];
-        self.read_at(offset, &mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Reads a little-endian `u64` at `offset`.
-    pub fn read_u64_at(&self, offset: usize) -> Result<u64, MemError> {
-        let mut b = [0u8; 8];
-        self.read_at(offset, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
     /// Snapshots the whole window into a fresh buffer.
     pub fn snapshot(&self) -> Result<Vec<u8>, MemError> {
         let mut buf = vec![0u8; self.len];
         self.read_at(0, &mut buf)?;
         Ok(buf)
-    }
-
-    /// Writes through the mapping (read-write mappings only).
-    ///
-    /// # Panics
-    /// If the mapping is read-only — writing through a read-only foreign
-    /// mapping is a programming error, not a runtime condition.
-    pub fn write_at(&self, offset: usize, buf: &[u8]) -> Result<(), MemError> {
-        assert!(self.writable, "write through a read-only foreign mapping");
-        self.check(offset, buf.len())?;
-        self.mem.write().write(self.base.add(offset as u64), buf)
     }
 }
 
@@ -128,8 +85,8 @@ impl std::fmt::Debug for ForeignMapping {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ForeignMapping {{ base: {:?}, len: {}, writable: {} }}",
-            self.base, self.len, self.writable
+            "ForeignMapping {{ base: {:?}, len: {} }}",
+            self.base, self.len
         )
     }
 }
@@ -158,7 +115,9 @@ mod tests {
         guest
             .dma_write(Gpa::new(16), &0xDEAD_BEEFu32.to_le_bytes())
             .unwrap();
-        assert_eq!(map.read_u32_at(16).unwrap(), 0xDEAD_BEEF);
+        let mut b = [0u8; 4];
+        map.read_at(16, &mut b).unwrap();
+        assert_eq!(u32::from_le_bytes(b), 0xDEAD_BEEF);
     }
 
     #[test]
@@ -182,33 +141,5 @@ mod tests {
         // A snapshot is a copy: later guest writes don't alter it.
         guest.write(Gpa::new(0), &[9]).unwrap();
         assert_eq!(snap[0], 1);
-    }
-
-    #[test]
-    fn rw_mapping_writes_through() {
-        let guest = MemoryHandle::new(8 * 1024);
-        let map = ForeignMapping::map_rw(&guest, Gpa::new(0), 64).unwrap();
-        map.write_at(10, &[42]).unwrap();
-        let mut b = [0u8; 1];
-        guest.read(Gpa::new(10), &mut b).unwrap();
-        assert_eq!(b[0], 42);
-    }
-
-    #[test]
-    #[should_panic]
-    fn read_only_mapping_rejects_writes() {
-        let guest = MemoryHandle::new(8 * 1024);
-        let map = ForeignMapping::map(&guest, Gpa::new(0), 64).unwrap();
-        let _ = map.write_at(0, &[1]);
-    }
-
-    #[test]
-    fn u64_accessor() {
-        let guest = MemoryHandle::new(8 * 1024);
-        guest
-            .with_write(|m| m.write_u64(Gpa::new(24), 0xABCD_EF01_2345_6789))
-            .unwrap();
-        let map = ForeignMapping::map(&guest, Gpa::new(0), 64).unwrap();
-        assert_eq!(map.read_u64_at(24).unwrap(), 0xABCD_EF01_2345_6789);
     }
 }

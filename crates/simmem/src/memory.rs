@@ -191,18 +191,6 @@ impl GuestMemory {
         self.write(gpa, &v.to_le_bytes())
     }
 
-    /// Reads a little-endian `u64` at `gpa`.
-    pub fn read_u64(&self, gpa: Gpa) -> Result<u64, MemError> {
-        let mut b = [0u8; 8];
-        self.read(gpa, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u64` at `gpa`.
-    pub fn write_u64(&mut self, gpa: Gpa, v: u64) -> Result<(), MemError> {
-        self.write(gpa, &v.to_le_bytes())
-    }
-
     /// Pins every page overlapping `[gpa, gpa+len)` (registration-time
     /// behaviour of RDMA memory regions). Pins nest: each `pin_range` must be
     /// balanced by one `unpin_range`.
@@ -306,19 +294,6 @@ impl MemoryHandle {
         })
     }
 
-    /// Device DMA read with the same pinning requirement.
-    pub fn dma_read(&self, gpa: Gpa, buf: &mut [u8]) -> Result<(), MemError> {
-        self.with_read(|m| {
-            m.check_range(gpa, buf.len())?;
-            if !m.is_pinned(gpa, buf.len()) {
-                return Err(MemError::NotPinned {
-                    page_base: Gpa::new(gpa.frame() * PAGE_SIZE as u64),
-                });
-            }
-            m.read(gpa, buf)
-        })
-    }
-
     /// Total size in bytes.
     pub fn size(&self) -> u64 {
         self.with_read(|m| m.size())
@@ -392,8 +367,6 @@ mod tests {
         m.read(Gpa::new(0), &mut b).unwrap();
         assert_eq!(b, [0x78, 0x56, 0x34, 0x12]);
         assert_eq!(m.read_u32(Gpa::new(0)).unwrap(), 0x1234_5678);
-        m.write_u64(Gpa::new(8), u64::MAX - 1).unwrap();
-        assert_eq!(m.read_u64(Gpa::new(8)).unwrap(), u64::MAX - 1);
     }
 
     #[test]
@@ -451,7 +424,7 @@ mod tests {
         h.with_write(|m| m.pin_range(gpa, 3)).unwrap();
         h.dma_write(gpa, &[1, 2, 3]).unwrap();
         let mut out = [0u8; 3];
-        h.dma_read(gpa, &mut out).unwrap();
+        h.read(gpa, &mut out).unwrap();
         assert_eq!(out, [1, 2, 3]);
     }
 

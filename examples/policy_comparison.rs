@@ -44,14 +44,13 @@ fn main() {
             PolicyKind::FreeMarket,
         )));
         let ioshares = mean_64kb(shorten(ScenarioConfig::managed(buf, PolicyKind::IoShares)));
-        // Worst-case static reservation: pin the interferer to the
-        // buffer-ratio cap permanently, interference or not.
+        // Worst-case static reservation: pin the unmanaged interferer to
+        // the buffer-ratio cap permanently, interference or not.
         let ratio = buf / (64 * 1024);
         let static_cap = (100 / ratio.max(1)).max(3);
-        let staticrsv = mean_64kb(shorten(ScenarioConfig::managed(
-            buf,
-            PolicyKind::StaticReserve(vec![(1, static_cap)]),
-        )));
+        let mut staticrsv = ScenarioConfig::managed(buf, PolicyKind::None);
+        staticrsv.vms[1] = staticrsv.vms[1].clone().with_cap(static_cap);
+        let staticrsv = mean_64kb(shorten(staticrsv));
         println!(
             "{:<10} {:>10.1}µs {:>10.1}µs {:>10.1}µs {:>10.1}µs",
             fmt_size(buf),
